@@ -17,6 +17,7 @@ from .entanglement import (
     concurrence_werner,
     eof,
     eof_gradient,
+    eof_many,
     spin_flip,
 )
 from .kraus import (

@@ -77,16 +77,19 @@ def gell_mann_basis(n: int) -> GeneratorBasis:
     return basis
 
 
+def _with_identity(n: int) -> np.ndarray:
+    """Stack (n^2, n, n): the identity, then the SU(n) generators."""
+    return np.array((np.eye(n), *gell_mann_basis(n).generators))
+
+
 def _coefficients(mat: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    sig = gell_mann_basis(n).generators
-    tau = gell_mann_basis(m).generators
-    eye_n = np.eye(n)
-    eye_m = np.eye(m)
-    alpha = np.array([(mat @ np.kron(s, eye_m)).trace() * n / 2.0 for s in sig])
-    beta = np.array([(mat @ np.kron(eye_n, t)).trace() * m / 2.0 for t in tau])
-    gamma = np.array(
-        [[(mat @ np.kron(s, t)).trace() * n * m / 4.0 for t in tau] for s in sig]
-    )
+    # t[i, j] = Tr(mat (s_i x t_j)) with s_0, t_0 the identities; the
+    # operator index (a b) of the n x m space splits into a in n, b in m.
+    blocks = np.einsum("abcd,ica->ibd", mat.reshape(n, m, n, m), _with_identity(n))
+    t = np.einsum("ibd,jdb->ij", blocks, _with_identity(m))
+    alpha = t[1:, 0] * n / 2.0
+    beta = t[0, 1:] * m / 2.0
+    gamma = t[1:, 1:] * n * m / 4.0
     worst = max(np.abs(alpha.imag).max(), np.abs(beta.imag).max(), np.abs(gamma.imag).max())
     if worst > REALITY_TOL:
         raise DimensionMismatchError(
@@ -108,22 +111,15 @@ def decompose(rho: DensityMatrix, n: int, m: int) -> BlochDecomposition:
 def recompose_matrix(d: BlochDecomposition) -> np.ndarray:
     """Evaluate the Bloch expansion; Hermitian and unit-trace by construction."""
     n, m = d.n, d.m
-    sig = gell_mann_basis(n).generators
-    tau = gell_mann_basis(m).generators
     if len(d.alpha) != n * n - 1 or len(d.beta) != m * m - 1:
         raise ShapeMismatchError("coefficient lengths do not match the basis sizes")
     if np.shape(d.gamma_ij) != (n * n - 1, m * m - 1):
         raise ShapeMismatchError("gamma_ij block does not match the basis sizes")
-    mat = np.eye(n * m, dtype=complex)
-    eye_n = np.eye(n)
-    eye_m = np.eye(m)
-    for ai, s in zip(d.alpha, sig):
-        mat = mat + ai * np.kron(s, eye_m)
-    for bj, t in zip(d.beta, tau):
-        mat = mat + bj * np.kron(eye_n, t)
-    for i, s in enumerate(sig):
-        for j, t in enumerate(tau):
-            mat = mat + d.gamma_ij[i, j] * np.kron(s, t)
+    k = np.zeros((n * n, m * m), dtype=complex)
+    k[0, 0] = 1.0
+    k[1:, 0], k[0, 1:], k[1:, 1:] = d.alpha, d.beta, d.gamma_ij
+    blocks = np.einsum("ij,jbd->ibd", k, _with_identity(m))
+    mat = np.einsum("iac,ibd->abcd", _with_identity(n), blocks).reshape(n * m, n * m)
     return mat / (n * m)
 
 

@@ -9,19 +9,19 @@ Subcommands
     criterion  entangling-vs-decohering threshold report         (report)
 
 All output is CSV or JSON data (plots are left to downstream tools).
-Exit codes: 0 ok, 2 bad arguments, 3 infeasible parameters, 4 numerical
-failure.
+Exit codes: 0 ok, 2 bad arguments (negative rates or steps and non-finite
+numbers included), 3 infeasible parameters, 4 numerical failure.
 """
 
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entanglement import eof
+from .entanglement import eof, eof_many  # noqa: F401  eof is patched by bench/tracing.py
 from .errors import (
     DegenerateDirectionError,
     DomainError,
@@ -53,6 +53,7 @@ from .rate import (
     rate_chain,
     rate_numeric,
     rate_werner,
+    _rate_xy_many,
     rate_xy,
     rate_xy_value,
 )
@@ -101,7 +102,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _csv(header: list[str], rows: Iterable[Sequence]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) if not isinstance(cell, str) else cell for cell in row)
                  for row in rows)
@@ -116,7 +117,7 @@ def _json_doc(obj: dict) -> str:
 
 def cmd_fig1(args) -> int:
     gam, cd = args.gamma, args.cd
-    count = args.grid or CURVE_POINTS
+    count = args.grid
     a_max = 1.0 - cd
     a_min = 0.55
     if cd < 0 or a_max <= a_min or a_max <= 0.5:
@@ -147,47 +148,36 @@ def cmd_fig1(args) -> int:
 # ---------------------------------------------------------------- fig2
 
 def cmd_fig2(args) -> int:
-    count = args.grid or GRID_POINTS
+    count = args.grid
     config = SweepConfig(
         "fig2", {"p": (0.0, 1.0, count), "qabs": (0.0, 0.5, count)},
         ModelParams(args.omega, args.g, args.gamma), args.out, args.format,
     )
     p_grid = np.linspace(0.0, 1.0, count)
     q_grid = np.linspace(0.0, 0.5, count)
-    values = [[xy_positivity(p, q) for q in q_grid] for p in p_grid]
+    values = xy_positivity(p_grid[:, None], q_grid[None, :])
     if args.format == "json":
         _emit(args, _json_doc({
             "config": config.to_dict(),
-            "axes": {"p": list(map(float, p_grid)), "qabs": list(map(float, q_grid))},
-            "values": values,
+            "axes": {"p": p_grid.tolist(), "qabs": q_grid.tolist()},
+            "values": values.tolist(),
         }))
     else:
-        rows = [[p, q, values[i][j]] for i, p in enumerate(p_grid) for j, q in enumerate(q_grid)]
-        _emit(args, _csv(["p", "qabs", "R"], rows))
+        cols = (np.repeat(p_grid, count), np.tile(q_grid, count), values.ravel())
+        _emit(args, _csv(["p", "qabs", "R"], zip(*(c.tolist() for c in cols))))
     return 0
 
 
 # ---------------------------------------------------------------- fig3
 
-def _fig3_cell(p, qr, qi, params):
-    """One sweep cell: (R, feasible flag, formula value or None).
+def cmd_fig3(args) -> int:
+    """XY-family rate over the (qR, qI) grid.
 
     The closed form is evaluated on its whole domain 0 < |q| <= 1/2; the
     feasible flag records joint state positivity (R <= 1e-12) separately,
     so infeasible cells are flagged yet still carry the formula value.
     """
-    q = complex(qr, qi)
-    r = xy_positivity(p, q)
-    feasible = r <= FEASIBILITY_TOL
-    try:
-        val = rate_xy_value(p, q, params.g, params.gamma)
-    except (SeparableRegionError, DomainError):
-        val = None
-    return r, feasible, val
-
-
-def cmd_fig3(args) -> int:
-    count = args.grid or GRID_POINTS
+    count = args.grid
     params = ModelParams(args.omega, args.g, args.gamma)
     config = SweepConfig(
         "fig3", {"qr": (0.0, 0.5, count), "qi": (0.0, 0.5, count)},
@@ -195,26 +185,16 @@ def cmd_fig3(args) -> int:
     )
     qr_grid = np.linspace(0.0, 0.5, count)
     qi_grid = np.linspace(0.0, 0.5, count)
-
-    def compute_row(qr):
-        return [_fig3_cell(args.p, qr, qi, params) for qi in qi_grid]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            grid = list(pool.map(compute_row, qr_grid))
-    else:
-        grid = [compute_row(qr) for qr in qr_grid]
+    q = qr_grid[:, None] + 1j * qi_grid[None, :]
+    r = xy_positivity(args.p, q)
+    vals = _rate_xy_many(args.p, q, params.g, params.gamma)
 
     best = worst = None
-    for i, qr in enumerate(qr_grid):
-        for j, qi in enumerate(qi_grid):
-            _, _, val = grid[i][j]
-            if val is None:
-                continue
-            if best is None or val > best[0]:
-                best = (val, qr, qi)
-            if worst is None or val < worst[0]:
-                worst = (val, qr, qi)
+    if not np.isnan(vals).all():
+        i, j = np.unravel_index(np.nanargmax(vals), vals.shape)
+        best = (vals[i, j], qr_grid[i], qi_grid[j])
+        i, j = np.unravel_index(np.nanargmin(vals), vals.shape)
+        worst = (vals[i, j], qr_grid[i], qi_grid[j])
     summary = (
         f"argmax qr={_fmt(best[1])} qi={_fmt(best[2])} rate={_fmt(best[0])}\n"
         f"argmin qr={_fmt(worst[1])} qi={_fmt(worst[2])} rate={_fmt(worst[0])}\n"
@@ -222,22 +202,20 @@ def cmd_fig3(args) -> int:
     )
     print(summary, end="", file=sys.stderr)
 
+    rates = np.where(np.isnan(vals), None, vals)
     if args.format == "json":
         _emit(args, _json_doc({
             "config": config.to_dict() | {"p": args.p},
-            "axes": {"qr": list(map(float, qr_grid)), "qi": list(map(float, qi_grid))},
-            "values": [[cell[2] for cell in row] for row in grid],
-            "R": [[cell[0] for cell in row] for row in grid],
+            "axes": {"qr": qr_grid.tolist(), "qi": qi_grid.tolist()},
+            "values": rates.tolist(),
+            "R": r.tolist(),
             "argmax": {"qr": best[1], "qi": best[2], "rate": best[0]} if best else None,
             "argmin": {"qr": worst[1], "qi": worst[2], "rate": worst[0]} if worst else None,
         }))
     else:
-        rows = []
-        for i, qr in enumerate(qr_grid):
-            for j, qi in enumerate(qi_grid):
-                r, feas, val = grid[i][j]
-                rows.append([qr, qi, r, "1" if feas else "0", val])
-        _emit(args, _csv(["qr", "qi", "R", "feasible", "rate"], rows))
+        cols = (np.repeat(qr_grid, count), np.tile(qi_grid, count), r.ravel(),
+                np.where(r <= FEASIBILITY_TOL, "1", "0").ravel(), rates.ravel())
+        _emit(args, _csv(["qr", "qi", "R", "feasible", "rate"], zip(*(c.tolist() for c in cols))))
     return 0
 
 
@@ -271,26 +249,19 @@ def _parse_state(tokens: list[str]) -> DensityMatrix:
 
 
 def _evolve_rows(traj: Trajectory) -> tuple[list[str], list[list]]:
-    header = ["t"]
-    for i in range(4):
-        for j in range(4):
-            header += [f"rho{i + 1}{j + 1}_re", f"rho{i + 1}{j + 1}_im"]
-    header += ["trace", "min_eig", "E", "rate_numeric"]
-    rows = []
-    n = len(traj)
-    for k in range(n):
-        m = traj.states[k].elements
-        row = [traj.times[k]]
-        for i in range(4):
-            for j in range(4):
-                row += [m[i, j].real, m[i, j].imag]
-        row += [
-            m.trace().real,
-            float(np.linalg.eigvalsh(m).min()),
-            eof(traj.states[k]),
-            rate_numeric(traj, k) if 1 <= k <= n - 2 else None,
-        ]
-        rows.append(row)
+    header = ["t", *(f"rho{i}{j}_{part}" for i in range(1, 5) for j in range(1, 5)
+                     for part in ("re", "im")), "trace", "min_eig", "E", "rate_numeric"]
+    mats = np.array([s.elements for s in traj.states])
+    t = traj.times
+    e = eof_many(mats)
+    rate = np.full(len(t), np.nan)
+    rate[1:-1] = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
+    table = np.column_stack([
+        t, mats.reshape(len(t), 16).view(float), np.trace(mats, axis1=1, axis2=2).real,
+        np.linalg.eigvalsh(mats).min(axis=1), e, rate,
+    ])
+    rows = table.tolist()
+    rows[0][-1] = rows[-1][-1] = None  # the central difference needs two neighbours
     return header, rows
 
 
@@ -305,9 +276,7 @@ def cmd_evolve(args) -> int:
             "config": {"command": "evolve", "state": args.state, "omega": params.omega,
                        "g": params.g, "gamma": params.gamma, "t_end": args.t_end, "dt": dt},
             "axes": {"t": [float(t) for t in traj.times]},
-            "values": {"columns": header[1:],
-                       "rows": [[None if v is None else float(v) for v in row[1:]]
-                                for row in rows]},
+            "values": {"columns": header[1:], "rows": [row[1:] for row in rows]},
         }))
     else:
         _emit(args, _csv(header, rows))
@@ -399,10 +368,20 @@ def cmd_criterion(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=0.01, help="damping rate")
-    p.add_argument("--g", type=float, default=0.2, help="qubit-qubit coupling")
-    p.add_argument("--omega", type=float, default=1.0, help="qubit frequency")
+    p.add_argument("--gamma", type=_finite_float, default=0.01, help="damping rate")
+    p.add_argument("--g", type=_finite_float, default=0.2, help="qubit-qubit coupling")
+    p.add_argument("--omega", type=_finite_float, default=1.0, help="qubit frequency")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -413,45 +392,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig1", help="Bell-diagonal rate versus weight a")
-    p.add_argument("--cd", type=float, default=0.1, help="c + d, split evenly")
-    p.add_argument("--grid", type=int, default=None, help="number of points")
+    p.add_argument("--cd", type=_finite_float, default=0.1, help="c + d, split evenly")
+    p.add_argument("--grid", type=int, default=CURVE_POINTS, help="number of points")
     _add_common(p)
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("fig2", help="positivity indicator R over (p, |q|)")
-    p.add_argument("--grid", type=int, default=None, help="points per axis")
+    p.add_argument("--grid", type=int, default=GRID_POINTS, help="points per axis")
     _add_common(p)
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("fig3", help="XY-family rate over (qR, qI)")
-    p.add_argument("--p", type=float, default=0.6)
-    p.add_argument("--grid", type=int, default=None, help="points per axis")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--p", type=_finite_float, default=0.6)
+    p.add_argument("--grid", type=int, default=GRID_POINTS, help="points per axis")
     _add_common(p)
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("evolve", help="integrate and dump a trajectory")
     p.add_argument("state", nargs="+",
                    help="initial state: werner A B C D | xy P QR QI | matrix PATH")
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--t-end", type=_finite_float, default=10.0)
+    p.add_argument("--dt", type=_finite_float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("rate", help="one-point rate by all applicable routes")
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--qr", type=float, default=0.0)
-    p.add_argument("--qi", type=float, default=0.0)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--cd", type=float, default=0.1)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--p", type=_finite_float, default=None)
+    p.add_argument("--qr", type=_finite_float, default=0.0)
+    p.add_argument("--qi", type=_finite_float, default=0.0)
+    p.add_argument("--a", type=_finite_float, default=None)
+    p.add_argument("--cd", type=_finite_float, default=0.1)
+    p.add_argument("--dt", type=_finite_float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("criterion", help="entangling-vs-decohering report")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--qr", type=float, default=0.0)
-    p.add_argument("--qi", type=float, default=0.0)
+    p.add_argument("--p", type=_finite_float, required=True)
+    p.add_argument("--qr", type=_finite_float, default=0.0)
+    p.add_argument("--qi", type=_finite_float, default=0.0)
     _add_common(p)
     p.set_defaults(func=cmd_criterion)
     return ap
@@ -461,7 +439,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PositivityViolationError, WeightError, InfeasibleRangeError,

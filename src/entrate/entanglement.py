@@ -61,8 +61,8 @@ def _spin_flip_raw(mat: np.ndarray) -> np.ndarray:
     return _SYY @ mat.conj() @ _SYY
 
 
-def _concurrence_raw(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Concurrence via the Hermitian-route spectrum, evaluated stably.
+def _concurrence_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrences and lambdas of a (..., 4, 4) stack, via the Hermitian route.
 
     With B = sqrt(rho) (sy x sy) sqrt(rho)^T one has
     B B^dagger = sqrt(rho) rho_tilde sqrt(rho), whose spectrum equals that
@@ -71,21 +71,21 @@ def _concurrence_raw(mat: np.ndarray) -> tuple[float, np.ndarray]:
     lambdas accurate near rank-deficient (pure) states.
     """
     try:
-        w, v = np.linalg.eigh(mat)
+        w, v = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigensolver failed: {exc}") from exc
-    if w.min() < -INPUT_PSD_FLOOR:
+    if (w < -INPUT_PSD_FLOOR).any():
         raise EigenFailureError(
             f"input has eigenvalue {w.min()!r}, far outside the positive cone"
         )
-    sq = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    b = sq @ _SYY @ sq.T
+    sq = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    b = sq @ _SYY @ np.swapaxes(sq, -1, -2)
     try:
         lam = np.linalg.svd(b, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"singular value decomposition failed: {exc}") from exc
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    return float(min(max(c, 0.0), 1.0)), lam
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return np.clip(c, 0.0, 1.0), lam
 
 
 def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
@@ -93,34 +93,39 @@ def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
     if rho.dim != 4:
         raise DimensionMismatchError(f"concurrence needs dim 4, got {rho.dim}")
     c, lam = _concurrence_raw(rho.elements)
-    lam = lam.copy()
     lam.setflags(write=False)
-    return ConcurrenceResult(c=c, lambdas=lam)
+    return ConcurrenceResult(c=float(c), lambdas=lam)
+
+
+def _entropy(x: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.where((x == 0.0) | (x == 1.0), 0.0, h)
 
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
     if x < 0.0 or x > 1.0:
         raise DomainError(f"binary entropy needs x in [0, 1], got {x!r}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+    return float(_entropy(x))
 
 
-def _eof_from_c(c: float) -> float:
-    return binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+def eof_many(mats) -> np.ndarray:
+    """Entanglement of formation of every state in a (..., 4, 4) stack.
 
-
-def _eof_raw(mat: np.ndarray) -> float:
-    c, _ = _concurrence_raw(mat)
-    return _eof_from_c(c)
+    Raises EigenFailureError when any member has an eigenvalue below
+    -INPUT_PSD_FLOOR or a decomposition fails.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape[-2:] != (4, 4):
+        raise DimensionMismatchError(f"eof needs a stack of 4x4 matrices, got {mats.shape}")
+    c, _ = _concurrence_raw(mats)
+    return _entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)
 
 
 def eof(rho: DensityMatrix) -> float:
     """Entanglement of formation E = h((1 + sqrt(1 - c^2)) / 2)."""
-    if rho.dim != 4:
-        raise DimensionMismatchError(f"eof needs dim 4, got {rho.dim}")
-    return _eof_raw(rho.elements)
+    return float(eof_many(rho.elements))
 
 
 def eof_gradient(rho: DensityMatrix) -> MeasureGradient:
@@ -137,37 +142,35 @@ def eof_gradient(rho: DensityMatrix) -> MeasureGradient:
     """
     if rho.dim != 4:
         raise DimensionMismatchError(f"eof gradient needs dim 4, got {rho.dim}")
-    c, _ = _concurrence_raw(rho.elements)
+    c = float(_concurrence_raw(rho.elements)[0])
     if c <= KINK_TOL:
         raise KinkRegionError(
             f"concurrence {c!r} is within {KINK_TOL} of the c = 0 kink"
         )
 
+    # One direction per independent element: Re rho_ij for j >= i, then
+    # Im rho_ij for j > i.  rho_ij moves by `step` and its partner rho_ji by
+    # the conjugate, written as -step on Im directions so no zero flips sign.
     h = GRADIENT_STEP
-    base = rho.elements
+    iu, ju = np.triu_indices(4)
+    off = iu != ju
+    i, j = np.concatenate([iu, iu[off]]), np.concatenate([ju, ju[off]])
+    step = np.concatenate([np.full(len(iu), complex(h, 0.0)), np.full(off.sum(), 1j * h)])
+    partner = np.where(step.imag != 0.0, -step, step)
+    k, pair = np.arange(len(step)), i != j
+    plus = np.repeat(rho.elements[None], len(step), axis=0)
+    minus = plus.copy()
+    plus[k, i, j] += step
+    minus[k, i, j] -= step
+    plus[k[pair], j[pair], i[pair]] += partner[pair]
+    minus[k[pair], j[pair], i[pair]] -= partner[pair]
+    e = eof_many(np.concatenate([plus, minus]))
+    slope = (e[: len(step)] - e[len(step):]) / (2 * h)
+
     d_re = np.zeros((4, 4))
     d_im = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            plus = np.array(base)
-            minus = np.array(base)
-            if i == j:
-                plus[i, i] += h
-                minus[i, i] -= h
-            else:
-                plus[i, j] += h
-                plus[j, i] += h
-                minus[i, j] -= h
-                minus[j, i] -= h
-            d_re[i, j] = (_eof_raw(plus) - _eof_raw(minus)) / (2 * h)
-            if i != j:
-                plus = np.array(base)
-                minus = np.array(base)
-                plus[i, j] += 1j * h
-                plus[j, i] -= 1j * h
-                minus[i, j] -= 1j * h
-                minus[j, i] += 1j * h
-                d_im[i, j] = (_eof_raw(plus) - _eof_raw(minus)) / (2 * h)
+    d_re[iu, ju] = slope[: len(iu)]
+    d_im[iu[off], ju[off]] = slope[len(iu):]
     d_re.setflags(write=False)
     d_im.setflags(write=False)
     return MeasureGradient(dE_dRe=d_re, dE_dIm=d_im)

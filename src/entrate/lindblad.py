@@ -190,10 +190,10 @@ def integrate(
     drift before correction must stay below 1e-6 per step and 1e-8 per unit
     time, otherwise StepSizeTooLargeError is raised.
     """
-    if dt <= 0:
-        raise DomainError(f"step size must be positive, got {dt!r}")
-    if t_end < 0:
-        raise DomainError(f"t_end must be nonnegative, got {t_end!r}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise DomainError(f"step size must be positive and finite, got {dt!r}")
+    if not (np.isfinite(t_end) and t_end >= 0):
+        raise DomainError(f"t_end must be nonnegative and finite, got {t_end!r}")
 
     def call(mat: np.ndarray) -> np.ndarray:
         return np.asarray(rhs(unchecked_density(mat)), dtype=complex)

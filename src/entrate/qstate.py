@@ -67,7 +67,7 @@ class XYFamilyParams:
     q: complex
 
     def __post_init__(self):
-        r = xy_positivity(self.p, self.q)
+        r = float(xy_positivity(self.p, self.q))
         if r > TRACE_TOL:
             raise PositivityViolationError(
                 f"state family requires p^2 - p + |q|^2 <= 0, got R = {r!r}"
@@ -150,9 +150,14 @@ def xy_state(params: XYFamilyParams) -> DensityMatrix:
     return new_density(rho)
 
 
-def xy_positivity(p: float, q: complex) -> float:
-    """Positivity indicator R = p^2 - p + |q|^2; the state is valid iff R <= 0."""
-    return p * p - p + abs(q) ** 2
+def xy_positivity(p, q):
+    """Positivity indicator R = p^2 - p + |q|^2; the state is valid iff R <= 0.
+
+    Evaluates elementwise on arrays.  numpy squares a scalar through pow,
+    as Python does, and an array by multiplication, so an array cell may
+    differ from the scalar call in the last bit.
+    """
+    return p * p - p + np.hypot(np.real(q), np.imag(q)) ** 2
 
 
 def bell_diagonal_weights(rho: DensityMatrix) -> WernerParams:

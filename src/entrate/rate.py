@@ -85,12 +85,12 @@ def rate_chain(rho: DensityMatrix, rho_dot: np.ndarray) -> RateBreakdown:
     return RateBreakdown(gamma_total=total, terms=tuple(terms))
 
 
-def _measure_slope(c: float) -> float:
-    """dE/dc = c atanh(u)/(u ln2) with u = sqrt(1-c^2); limit 1/ln2 at c=1."""
-    u = np.sqrt(max(0.0, 1.0 - c * c))
-    if u == 0.0:
-        return c / LN2
-    return float(c * np.arctanh(u) / (u * LN2))
+def _measure_slope(c):
+    """dE/dc = c atanh(u)/(u ln2), u = sqrt(1-c^2), elementwise; 1/ln2 at c=1."""
+    u = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = c * np.arctanh(u) / (u * LN2)
+    return np.where(u == 0.0, c / LN2, slope)
 
 
 def rate_werner(w: WernerParams, params: ModelParams) -> float:
@@ -114,7 +114,17 @@ def rate_werner(w: WernerParams, params: ModelParams) -> float:
         f_dot = gam * s - 2.0 * gam * w.a
     else:
         f_dot = -gam * f
-    return _measure_slope(f) * f_dot
+    return float(_measure_slope(f) * f_dot)
+
+
+def _rate_xy_many(p, q, g, gamma) -> np.ndarray:
+    """rate_xy_value elementwise over arrays of p and q, NaN where it raises."""
+    aq = np.hypot(np.real(q), np.imag(q))
+    big_g = 2.0 * aq
+    bracket = g * np.imag(q) * (2.0 * p - 1.0) - gamma * aq * aq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = 2.0 * _measure_slope(np.minimum(big_g, 1.0)) * bracket / aq
+    return np.where((aq > XY_SEPARABLE_TOL) & (big_g <= 1.0 + 1e-12), rate, np.nan)
 
 
 def rate_xy_value(p: float, q: complex, g: float, gamma: float) -> float:
@@ -130,8 +140,7 @@ def rate_xy_value(p: float, q: complex, g: float, gamma: float) -> float:
     big_g = 2.0 * aq
     if big_g > 1.0 + 1e-12:
         raise DomainError(f"concurrence 2|q| = {big_g!r} exceeds 1")
-    bracket = g * q.imag * (2.0 * p - 1.0) - gamma * aq * aq
-    return 2.0 * _measure_slope(min(big_g, 1.0)) * bracket / aq
+    return float(_rate_xy_many(p, q, g, gamma))
 
 
 def rate_xy(x: XYFamilyParams, params: ModelParams) -> float:

@@ -80,7 +80,22 @@ class TestDecomposeRecompose:
         back = recompose(decompose(rho, 2, 2))
         np.testing.assert_allclose(back.elements, rho.elements, atol=1e-12)
 
-    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 4)])
+    def test_coefficients_are_generator_traces(self, n, m):
+        rho = random_density_matrix(np.random.default_rng(n * 10 + m), dim=n * m)
+        d = decompose(as_state(rho), n, m)
+        sig, tau = gell_mann_basis(n).generators, gell_mann_basis(m).generators
+        for i, s in enumerate(sig):
+            assert d.alpha[i] == pytest.approx(
+                np.trace(rho @ np.kron(s, np.eye(m))).real * n / 2, abs=1e-14)
+            for j, t in enumerate(tau):
+                assert d.gamma_ij[i, j] == pytest.approx(
+                    np.trace(rho @ np.kron(s, t)).real * n * m / 4, abs=1e-14)
+        for j, t in enumerate(tau):
+            assert d.beta[j] == pytest.approx(
+                np.trace(rho @ np.kron(np.eye(n), t)).real * m / 2, abs=1e-14)
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 4)])
     def test_round_trip_on_random_states(self, n, m):
         rng = np.random.default_rng(n * 10 + m)
         for _ in range(100):

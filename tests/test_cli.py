@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from entrate import rate_xy_value
 from entrate.cli import main
+from entrate.errors import DomainError, SeparableRegionError
 
 
 def run_cli(capsys, *argv):
@@ -116,11 +118,18 @@ class TestFig3:
         run_cli(capsys, "fig3", "--grid", "31", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
-    def test_threads_do_not_change_output(self, capsys, tmp_path):
-        f1, f2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-        run_cli(capsys, "fig3", "--grid", "31", "--out", str(f1))
-        run_cli(capsys, "fig3", "--grid", "31", "--threads", "4", "--out", str(f2))
-        assert f1.read_bytes() == f2.read_bytes()
+    def test_cells_match_scalar_closed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "fig3", "--grid", "31", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        cfg = doc["config"]
+        for i, qr in enumerate(doc["axes"]["qr"]):
+            for j, qi in enumerate(doc["axes"]["qi"]):
+                try:
+                    want = rate_xy_value(cfg["p"], complex(qr, qi), cfg["g"], cfg["gamma"])
+                except (SeparableRegionError, DomainError):
+                    want = None
+                assert doc["values"][i][j] == want
 
 
 class TestEvolve:
@@ -258,3 +267,30 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+XY_STATE = ("--", "xy", "0.6", "0", "0.3")
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("fig3", "--grid", "5", "--p=nan", "--format", "json"), 2),
+    (("fig3", "--grid", "5", "--p=nan"), 2),
+    (("rate", "--p=nan", "--qi=0.3"), 2),
+    (("rate", "--a=nan"), 2),
+    (("evolve", "--t-end=nan", *XY_STATE), 2),
+    (("evolve", "--t-end=inf", *XY_STATE), 2),
+    (("criterion", "--p=0.6", "--qr=nan"), 2),
+    (("fig1", "--grid", "0"), 3),
+    (("rate", "--p=0.6", "--qi=0.3", "--dt=nan"), 2),
+    (("fig3", "--grid", "5", "--gamma=-0.5"), 2),
+    (("evolve", "--t-end=0.05", "--dt=-0.01", *XY_STATE), 2),
+    (("rate", "--p=abc"), 2),
+])
+def test_malformed_input_exits_with_message(capsys, argv, want):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == want
+    assert err.strip() and "Traceback" not in err

@@ -16,11 +16,13 @@ from entrate import (
     concurrence_werner,
     eof,
     eof_gradient,
+    eof_many,
     new_density,
     spin_flip,
     werner_state,
     xy_state,
 )
+from entrate.entanglement import INPUT_PSD_FLOOR
 from entrate.errors import (
     DimensionMismatchError,
     DomainError,
@@ -147,6 +149,42 @@ class TestEof:
         want = eof_scalar(0.4)
         assert want == pytest.approx(0.25022491161107085, abs=1e-14)
         assert eof(rho) == pytest.approx(want, abs=1e-10)
+
+
+class TestEofMany:
+    @staticmethod
+    def _with_spectrum(rng, w):
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        return (u * w) @ u.conj().T
+
+    def _stack(self, rng):
+        full = [random_density_matrix(rng) for _ in range(40)]
+        pure = [self._with_spectrum(rng, np.array([1.0, 0.0, 0.0, 0.0])) for _ in range(20)]
+        slightly_negative = []
+        for _ in range(20):
+            eps = rng.uniform(1e-6, 0.9 * INPUT_PSD_FLOOR)
+            w = rng.uniform(0.1, 1.0, 3)
+            slightly_negative.append(
+                self._with_spectrum(rng, np.append(w * (1.0 + eps) / w.sum(), -eps))
+            )
+        return np.array(full + pure + slightly_negative + [PSI_PLUS.elements, GROUND.elements])
+
+    def test_equals_scalar_eof_bitwise(self):
+        stack = self._stack(np.random.default_rng(31))
+        got = eof_many(stack)
+        want = np.array([eof(as_state(m)) for m in stack])
+        assert got.shape == (len(stack),)
+        assert got.tobytes() == want.tobytes()
+
+    def test_any_member_below_the_floor_fails_the_stack(self):
+        stack = self._stack(np.random.default_rng(37))
+        stack[5] = np.diag([0.75, 0.75, 0.75, -1.25])
+        with pytest.raises(EigenFailureError):
+            eof_many(stack)
+
+    def test_dimension_check(self):
+        with pytest.raises(DimensionMismatchError):
+            eof_many(np.eye(3) / 3)
 
 
 class TestEofGradient:
