@@ -37,6 +37,7 @@ from .lindblad import (
     damped_xy_model,
     default_step,
     integrate,
+    liouvillian,
     rhs_consistency_check,
     rhs_damped_xy,
     rhs_generic,

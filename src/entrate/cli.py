@@ -32,13 +32,20 @@ from .errors import (
     NotPositiveError,
     ParseError,
     PositivityViolationError,
+    NonFiniteError,
     SeparableRegionError,
-    StepSizeTooLargeError,
     TraceNotOneError,
     NonHermitianError,
     WeightError,
 )
-from .lindblad import ModelParams, Trajectory, default_step, integrate, rhs_damped_xy
+from .lindblad import (
+    ModelParams,
+    Trajectory,
+    damped_xy_model,
+    default_step,
+    integrate,
+    rhs_damped_xy,
+)
 from .qstate import (
     DensityMatrix,
     WernerParams,
@@ -109,6 +116,19 @@ def _csv(header: list[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_finite(name: str, values) -> None:
+    """Reported numbers must be finite: overflow is a numerical failure.
+
+    None stands for a value reported as undefined and passes.
+    """
+    if values is None:
+        return
+    arr = np.asarray(values, dtype=float)
+    bad = np.count_nonzero(~np.isfinite(arr))
+    if bad:
+        raise NonFiniteError(f"{name} is not finite in {bad} of {arr.size} values")
+
+
 def _json_doc(obj: dict) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
@@ -134,6 +154,7 @@ def cmd_fig1(args) -> int:
     for a in a_grid:
         w = WernerParams(a, 1.0 - a - cd, cd / 2.0, cd / 2.0)
         values.append(rate_werner(w, config.params))
+    _check_finite("rate", values)
     if args.format == "json":
         _emit(args, _json_doc({
             "config": config.to_dict() | {"cd": cd},
@@ -188,6 +209,8 @@ def cmd_fig3(args) -> int:
     q = qr_grid[:, None] + 1j * qi_grid[None, :]
     r = xy_positivity(args.p, q)
     vals = _rate_xy_many(args.p, q, params.g, params.gamma)
+    _check_finite("R", r)
+    _check_finite("rate", vals[~np.isnan(vals)])  # NaN marks masked cells
 
     best = worst = None
     if not np.isnan(vals).all():
@@ -251,7 +274,7 @@ def _parse_state(tokens: list[str]) -> DensityMatrix:
 def _evolve_rows(traj: Trajectory) -> tuple[list[str], list[list]]:
     header = ["t", *(f"rho{i}{j}_{part}" for i in range(1, 5) for j in range(1, 5)
                      for part in ("re", "im")), "trace", "min_eig", "E", "rate_numeric"]
-    mats = np.array([s.elements for s in traj.states])
+    mats = traj.elements
     t = traj.times
     e = eof_many(mats)
     rate = np.full(len(t), np.nan)
@@ -269,7 +292,7 @@ def cmd_evolve(args) -> int:
     rho0 = _parse_state(args.state)
     params = ModelParams(args.omega, args.g, args.gamma)
     dt = args.dt if args.dt else default_step(params)
-    traj = integrate(lambda r: rhs_damped_xy(params, r), rho0, args.t_end, dt)
+    traj = integrate(damped_xy_model(params), rho0, args.t_end, dt)
     header, rows = _evolve_rows(traj)
     if args.format == "json":
         _emit(args, _json_doc({
@@ -286,7 +309,7 @@ def cmd_evolve(args) -> int:
 # ---------------------------------------------------------------- rate
 
 def _three_route_report(rho0, closed, params, dt) -> list[tuple[str, float]]:
-    traj = integrate(lambda r: rhs_damped_xy(params, r), rho0, 2 * dt, dt)
+    traj = integrate(damped_xy_model(params), rho0, 2 * dt, dt)
     lines = [("rate_closed_form", closed)]
     try:
         chain = rate_chain(rho0, rhs_damped_xy(params, rho0)).gamma_total
@@ -312,6 +335,8 @@ def cmd_rate(args) -> int:
         point = {"family": "werner", "a": args.a, "cd": args.cd}
     else:
         raise ParseError("rate needs either --p/--qr/--qi or --a/--cd")
+    for name, value in lines:
+        _check_finite(name, value)
 
     if args.format == "json":
         _emit(args, _json_doc({"config": point | {"g": params.g, "gamma": params.gamma,
@@ -331,6 +356,7 @@ def cmd_criterion(args) -> int:
     rate = rate_xy_value(args.p, q, params.g, params.gamma)
     r = xy_positivity(args.p, q)
     ratio = params.g / params.gamma if params.gamma > 0 else float("inf")
+    reported_ratio = ratio if params.gamma > 0 else None  # undefined without damping
     note = None if r <= FEASIBILITY_TOL else f"point infeasible as a state: R = {_fmt(r)}"
     try:
         threshold = criterion_threshold_value(args.p, q)
@@ -344,18 +370,21 @@ def cmd_criterion(args) -> int:
         note = str(exc) if note is None else f"{note}; {exc}"
 
     computed = "+" if rate > 0 else ("0" if rate == 0 else "-")
+    for name, value in (("threshold", threshold), ("g/gamma", reported_ratio),
+                        ("rate", rate), ("R", r)):
+        _check_finite(name, value)
     if args.format == "json":
         _emit(args, _json_doc({
             "config": {"p": args.p, "qr": args.qr, "qi": args.qi,
                        "g": params.g, "gamma": params.gamma},
-            "values": {"threshold": threshold, "g_over_gamma": ratio,
+            "values": {"threshold": threshold, "g_over_gamma": reported_ratio,
                        "predicted_sign": predicted, "rate": rate,
                        "computed_sign": computed, "R": r, "note": note},
         }))
     else:
         lines = [
             f"threshold = {_fmt(threshold) if threshold is not None else 'undefined'}",
-            f"g/gamma = {_fmt(ratio)}",
+            f"g/gamma = {_fmt(reported_ratio) if reported_ratio is not None else 'undefined'}",
             f"predicted_sign = {predicted}",
             f"rate = {_fmt(rate)}",
             f"computed_sign = {computed}",
@@ -447,7 +476,7 @@ def main(argv=None) -> int:
             NonHermitianError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (EigenFailureError, StepSizeTooLargeError, KinkRegionError) as exc:
+    except (EigenFailureError, NonFiniteError, KinkRegionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except EntrateError as exc:

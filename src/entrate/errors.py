@@ -45,6 +45,10 @@ class StepSizeTooLargeError(EntrateError):
     """Integrator trace drift exceeded its tolerance; reduce the step."""
 
 
+class NonFiniteError(EntrateError):
+    """A computed value overflowed to infinity or NaN."""
+
+
 class IncompleteChannelError(EntrateError):
     """Kraus operators do not sum to the identity within tolerance."""
 

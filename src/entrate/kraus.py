@@ -17,7 +17,7 @@ from .errors import (
     NonHermitianEffectiveError,
     WeightError,
 )
-from .lindblad import Trajectory, integrate
+from .lindblad import LindbladModel, Trajectory, integrate
 from .qstate import DensityMatrix, new_density
 
 COMPLETENESS_TOL = 1e-10
@@ -146,8 +146,6 @@ def evolve_effective(
         raise DimensionMismatchError(
             f"H_e dim {h.shape[0]} does not match state dim {rho0.dim}"
         )
-
-    def rhs(rho: DensityMatrix) -> np.ndarray:
-        return -1j * (h @ rho.elements - rho.elements @ h)
-
-    return integrate(rhs, rho0, t_end, dt)
+    # The Hermitian part passes LindbladModel's tighter Hermiticity check
+    # and leaves an exactly Hermitian H_e unchanged.
+    return integrate(LindbladModel(h0=(h + h.conj().T) / 2.0), rho0, t_end, dt)

@@ -31,7 +31,7 @@ from .errors import (
     SeparableRegionError,
 )
 from .lindblad import ModelParams, Trajectory
-from .qstate import DensityMatrix, WernerParams, XYFamilyParams
+from .qstate import DensityMatrix, WernerParams, XYFamilyParams, unchecked_density
 
 SEPARABLE_TOL = 1e-6
 XY_SEPARABLE_TOL = 1e-8
@@ -53,8 +53,8 @@ def rate_numeric(trajectory: Trajectory, index: int) -> float:
         raise IndexOutOfRangeError(
             f"index {index} has no neighbours in a trajectory of length {n}"
         )
-    e_plus = eof(trajectory.states[index + 1])
-    e_minus = eof(trajectory.states[index - 1])
+    e_plus = eof(unchecked_density(trajectory.elements[index + 1]))
+    e_minus = eof(unchecked_density(trajectory.elements[index - 1]))
     return (e_plus - e_minus) / (trajectory.times[index + 1] - trajectory.times[index - 1])
 
 

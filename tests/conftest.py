@@ -77,5 +77,5 @@ def centered_trajectory(rho0, params, dt):
     bwd = integrate(lambda r: -rhs_damped_xy(params, r), rho0, dt, dt)
     return Trajectory(
         times=np.array([-dt, 0.0, dt]),
-        states=(bwd.states[-1], rho0, fwd.states[-1]),
+        elements=(bwd.elements[-1], rho0.elements, fwd.elements[-1]),
     )

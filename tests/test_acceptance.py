@@ -121,7 +121,7 @@ def test_a04_integrator_exactness_and_order():
 
     def endpoint_error(dt):
         traj = integrate(lambda r: rhs_damped_xy(params, r), rho, 1 / gam, dt)
-        return abs(traj.states[-1].elements[3, 3].real - np.exp(-2.0))
+        return abs(traj.elements[-1][3, 3].real - np.exp(-2.0))
 
     err = endpoint_error(1e-2 / gam)
     ratio = err / endpoint_error(5e-3 / gam)
@@ -368,7 +368,7 @@ def test_a12_kraus_contracts():
     he = EffectiveHamiltonian(xy_hamiltonian(1.0, 0.2))
     traj = evolve_effective(he, rho, 100.0, 1e-3)
     purity0 = (rho.elements @ rho.elements).trace().real
-    final = traj.states[-1].elements
+    final = traj.elements[-1]
     trace_gap = abs(final.trace().real - 1.0)
     purity_gap = abs((final @ final).trace().real - purity0)
 

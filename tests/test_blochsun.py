@@ -131,9 +131,9 @@ class TestCoefficientRates:
 
         def fd_gap(dt):
             traj = integrate(lambda r: rhs_damped_xy(params, r), rho, 2 * dt, dt)
-            d0 = decompose(traj.states[0], 2, 2)
-            d2 = decompose(traj.states[2], 2, 2)
-            mid = traj.states[1]
+            d0 = decompose(as_state(traj.elements[0]), 2, 2)
+            d2 = decompose(as_state(traj.elements[2]), 2, 2)
+            mid = as_state(traj.elements[1])
             a, b, g = coefficient_rates(rhs_damped_xy(params, mid), 2, 2)
             err = [
                 np.abs((d2.alpha - d0.alpha) / (2 * dt) - a).max(),
@@ -150,9 +150,10 @@ class TestCoefficientRates:
         rho = new_density(np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
         dt = 1e-3
         traj = integrate(lambda r: rhs_damped_xy(params, r), rho, 2 * dt, dt)
-        _, _, g_dot = coefficient_rates(rhs_damped_xy(params, traj.states[1]), 2, 2)
-        d0 = decompose(traj.states[0], 2, 2)
-        d2 = decompose(traj.states[2], 2, 2)
+        mid = as_state(traj.elements[1])
+        _, _, g_dot = coefficient_rates(rhs_damped_xy(params, mid), 2, 2)
+        d0 = decompose(as_state(traj.elements[0]), 2, 2)
+        d2 = decompose(as_state(traj.elements[2]), 2, 2)
         fd = (d2.gamma_ij[2, 2] - d0.gamma_ij[2, 2]) / (2 * dt)
         assert g_dot[2, 2] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 

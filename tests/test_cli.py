@@ -262,6 +262,17 @@ class TestCriterionCommand:
         assert "threshold = " in out
         assert "predicted_sign = +" in out
 
+    def test_zero_damping_ratio_is_undefined(self, capsys):
+        argv = ("criterion", "--p", "0.6", "--qi", "0.3", "--gamma", "0")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        vals = json.loads(out)["values"]
+        assert vals["g_over_gamma"] is None
+        assert vals["predicted_sign"] == vals["computed_sign"] == "+"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "g/gamma = undefined" in out
+
 
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -285,6 +296,14 @@ XY_STATE = ("--", "xy", "0.6", "0", "0.3")
     (("fig3", "--grid", "5", "--gamma=-0.5"), 2),
     (("evolve", "--t-end=0.05", "--dt=-0.01", *XY_STATE), 2),
     (("rate", "--p=abc"), 2),
+    (("evolve", "--t-end", "20", "--dt", "10", "--g", "1e308", *XY_STATE), 4),
+    (("evolve", "--t-end", "20", "--dt", "10", "--g", "1e308", "--gamma", "1e307",
+      *XY_STATE), 4),
+    (("rate", "--p", "0.6", "--qi", "0.3", "--g", "1e308", "--dt", "1"), 4),
+    (("fig1", "--gamma", "1e308", "--format", "json"), 4),
+    (("fig1", "--gamma", "1e308"), 4),
+    (("fig3", "--p", "1e300", "--grid", "5", "--format", "json"), 4),
+    (("fig3", "--p", "1e300", "--grid", "5"), 4),
 ])
 def test_malformed_input_exits_with_message(capsys, argv, want):
     try:

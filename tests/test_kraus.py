@@ -115,7 +115,7 @@ class TestEvolveEffective:
     def test_zero_generator_is_constant(self):
         rho = new_density(np.eye(4) / 4)
         traj = evolve_effective(EffectiveHamiltonian(np.zeros((4, 4))), rho, 1.0, 0.1)
-        np.testing.assert_allclose(traj.states[-1].elements, rho.elements, atol=1e-15)
+        np.testing.assert_allclose(traj.elements[-1], rho.elements, atol=1e-15)
 
     def test_rabi_oscillation_of_populations(self):
         g = 0.2
@@ -124,7 +124,7 @@ class TestEvolveEffective:
         traj = evolve_effective(he, rho, 5.0, 1e-3)
         for k in (len(traj) // 3, len(traj) - 1):
             t = traj.times[k]
-            m = traj.states[k].elements
+            m = traj.elements[k]
             assert m[1, 1].real == pytest.approx(np.cos(g * t) ** 2, abs=1e-8)
             assert m[2, 2].real == pytest.approx(np.sin(g * t) ** 2, abs=1e-8)
 
@@ -134,7 +134,7 @@ class TestEvolveEffective:
         he = EffectiveHamiltonian(xy_hamiltonian(0.8, 0.3))
         traj = evolve_effective(he, rho, 2.0, 1e-3)
         want = np.linalg.eigvalsh(rho.elements)
-        got = np.linalg.eigvalsh(traj.states[-1].elements)
+        got = np.linalg.eigvalsh(traj.elements[-1])
         np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_purity_and_trace_conserved(self):
@@ -143,7 +143,7 @@ class TestEvolveEffective:
         he = EffectiveHamiltonian(xy_hamiltonian(1.0, 0.2))
         traj = evolve_effective(he, rho, 10.0, 1e-3)
         purity0 = (rho.elements @ rho.elements).trace().real
-        final = traj.states[-1].elements
+        final = traj.elements[-1]
         assert final.trace().real == pytest.approx(1.0, abs=1e-8)
         assert (final @ final).trace().real == pytest.approx(purity0, abs=1e-8)
 
