@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, ShapeMismatchError
+from .errors import DimensionMismatchError, DomainError
 from .qstate import DensityMatrix, new_density
 
 ORTHOGONALITY_TOL = 1e-12
@@ -112,9 +112,9 @@ def recompose_matrix(d: BlochDecomposition) -> np.ndarray:
     """Evaluate the Bloch expansion; Hermitian and unit-trace by construction."""
     n, m = d.n, d.m
     if len(d.alpha) != n * n - 1 or len(d.beta) != m * m - 1:
-        raise ShapeMismatchError("coefficient lengths do not match the basis sizes")
+        raise DimensionMismatchError("coefficient lengths do not match the basis sizes")
     if np.shape(d.gamma_ij) != (n * n - 1, m * m - 1):
-        raise ShapeMismatchError("gamma_ij block does not match the basis sizes")
+        raise DimensionMismatchError("gamma_ij block does not match the basis sizes")
     k = np.zeros((n * n, m * m), dtype=complex)
     k[0, 0] = 1.0
     k[1:, 0], k[0, 1:], k[1:, 1:] = d.alpha, d.beta, d.gamma_ij
@@ -152,7 +152,7 @@ def rate_bloch(
         g_arr = np.asarray(g_block, dtype=float)
         r_arr = np.asarray(r_block, dtype=float)
         if g_arr.shape != r_arr.shape:
-            raise ShapeMismatchError(
+            raise DimensionMismatchError(
                 f"gradient block {g_arr.shape} does not match rate block {r_arr.shape}"
             )
         total += float((g_arr * r_arr).sum())

@@ -9,12 +9,16 @@ Subcommands
     criterion  entangling-vs-decohering threshold report         (report)
 
 All output is CSV or JSON data (plots are left to downstream tools).
-Exit codes: 0 ok, 2 bad arguments (negative rates or steps and non-finite
-numbers included), 3 infeasible parameters, 4 numerical failure.
+Exit codes: 0 ok, 2 bad arguments (negative rates or steps, non-finite numbers
+and a state file of the wrong size included), 3 infeasible parameters (a run
+over MAX_VALUES = 10**7 reported numbers included), 4 numerical failure; each is
+the exit_code of an entrate.errors base: InvalidArgument, Infeasible,
+NumericalFailure.
 """
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -24,19 +28,11 @@ import numpy as np
 from .entanglement import eof, eof_many  # noqa: F401  eof is patched by bench/tracing.py
 from .errors import (
     DegenerateDirectionError,
-    DomainError,
-    EigenFailureError,
     EntrateError,
     InfeasibleRangeError,
     KinkRegionError,
-    NotPositiveError,
-    ParseError,
-    PositivityViolationError,
     NonFiniteError,
-    SeparableRegionError,
-    TraceNotOneError,
-    NonHermitianError,
-    WeightError,
+    ParseError,
 )
 from .lindblad import (
     ModelParams,
@@ -68,6 +64,18 @@ from .rate import (
 CURVE_POINTS = 201
 GRID_POINTS = 101
 FEASIBILITY_TOL = 1e-12
+MAX_VALUES = 10**7  # reported numbers (rows x columns) a run may emit
+EVOLVE_HEADER = ("t", *(f"rho{i}{j}_{part}" for i in range(1, 5) for j in range(1, 5)
+                        for part in ("re", "im")), "trace", "min_eig", "E", "rate_numeric")
+
+
+def _check_size(command: str, rows: float, columns: int) -> None:
+    """Refuse a run over MAX_VALUES reported numbers before it allocates them."""
+    if rows * columns > MAX_VALUES:
+        raise InfeasibleRangeError(
+            f"{command} would report {rows * columns:.4g} numbers ({columns} per row), "
+            f"more than the bound of {MAX_VALUES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,7 @@ class SweepConfig:
     command: str
     ranges: dict
     params: ModelParams
-    out: str | None
-    fmt: str
+    header: tuple[str, ...]
 
     def __post_init__(self):
         for name, (start, stop, count) in self.ranges.items():
@@ -84,6 +91,8 @@ class SweepConfig:
                 raise InfeasibleRangeError(f"axis {name} needs at least 2 points")
             if not (np.isfinite(start) and np.isfinite(stop)):
                 raise InfeasibleRangeError(f"axis {name} range is not finite")
+        rows = math.prod(count for _, _, count in self.ranges.values())
+        _check_size(self.command, rows, len(self.header))
 
     def to_dict(self) -> dict:
         return {
@@ -109,7 +118,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv(header: list[str], rows: Iterable[Sequence]) -> str:
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) if not isinstance(cell, str) else cell for cell in row)
                  for row in rows)
@@ -147,7 +156,7 @@ def cmd_fig1(args) -> int:
     a_max = min(a_max, 0.9)
     config = SweepConfig(
         "fig1", {"a": (a_min, a_max, count)}, ModelParams(args.omega, args.g, gam),
-        args.out, args.format,
+        ("a", "rate"),
     )
     a_grid = np.linspace(a_min, a_max, count)
     values = []
@@ -162,7 +171,7 @@ def cmd_fig1(args) -> int:
             "values": values,
         }))
     else:
-        _emit(args, _csv(["a", "rate"], [[a, v] for a, v in zip(a_grid, values)]))
+        _emit(args, _csv(config.header, [[a, v] for a, v in zip(a_grid, values)]))
     return 0
 
 
@@ -172,7 +181,7 @@ def cmd_fig2(args) -> int:
     count = args.grid
     config = SweepConfig(
         "fig2", {"p": (0.0, 1.0, count), "qabs": (0.0, 0.5, count)},
-        ModelParams(args.omega, args.g, args.gamma), args.out, args.format,
+        ModelParams(args.omega, args.g, args.gamma), ("p", "qabs", "R"),
     )
     p_grid = np.linspace(0.0, 1.0, count)
     q_grid = np.linspace(0.0, 0.5, count)
@@ -185,7 +194,7 @@ def cmd_fig2(args) -> int:
         }))
     else:
         cols = (np.repeat(p_grid, count), np.tile(q_grid, count), values.ravel())
-        _emit(args, _csv(["p", "qabs", "R"], zip(*(c.tolist() for c in cols))))
+        _emit(args, _csv(config.header, zip(*(c.tolist() for c in cols))))
     return 0
 
 
@@ -202,7 +211,7 @@ def cmd_fig3(args) -> int:
     params = ModelParams(args.omega, args.g, args.gamma)
     config = SweepConfig(
         "fig3", {"qr": (0.0, 0.5, count), "qi": (0.0, 0.5, count)},
-        params, args.out, args.format,
+        params, ("qr", "qi", "R", "feasible", "rate"),
     )
     qr_grid = np.linspace(0.0, 0.5, count)
     qi_grid = np.linspace(0.0, 0.5, count)
@@ -238,7 +247,7 @@ def cmd_fig3(args) -> int:
     else:
         cols = (np.repeat(qr_grid, count), np.tile(qi_grid, count), r.ravel(),
                 np.where(r <= FEASIBILITY_TOL, "1", "0").ravel(), rates.ravel())
-        _emit(args, _csv(["qr", "qi", "R", "feasible", "rate"], zip(*(c.tolist() for c in cols))))
+        _emit(args, _csv(config.header, zip(*(c.tolist() for c in cols))))
     return 0
 
 
@@ -271,9 +280,7 @@ def _parse_state(tokens: list[str]) -> DensityMatrix:
     raise ParseError(f"unknown state kind {kind!r} (expected werner | xy | matrix)")
 
 
-def _evolve_rows(traj: Trajectory) -> tuple[list[str], list[list]]:
-    header = ["t", *(f"rho{i}{j}_{part}" for i in range(1, 5) for j in range(1, 5)
-                     for part in ("re", "im")), "trace", "min_eig", "E", "rate_numeric"]
+def _evolve_rows(traj: Trajectory) -> list[list]:
     mats = traj.elements
     t = traj.times
     e = eof_many(mats)
@@ -285,24 +292,26 @@ def _evolve_rows(traj: Trajectory) -> tuple[list[str], list[list]]:
     ])
     rows = table.tolist()
     rows[0][-1] = rows[-1][-1] = None  # the central difference needs two neighbours
-    return header, rows
+    return rows
 
 
 def cmd_evolve(args) -> int:
     rho0 = _parse_state(args.state)
     params = ModelParams(args.omega, args.g, args.gamma)
     dt = args.dt if args.dt else default_step(params)
+    # max() leaves a negative t_end or dt to integrate's DomainError.
+    _check_size("evolve", max(args.t_end, 0.0) / dt + 1, len(EVOLVE_HEADER))
     traj = integrate(damped_xy_model(params), rho0, args.t_end, dt)
-    header, rows = _evolve_rows(traj)
+    rows = _evolve_rows(traj)
     if args.format == "json":
         _emit(args, _json_doc({
             "config": {"command": "evolve", "state": args.state, "omega": params.omega,
                        "g": params.g, "gamma": params.gamma, "t_end": args.t_end, "dt": dt},
             "axes": {"t": [float(t) for t in traj.times]},
-            "values": {"columns": header[1:], "rows": [row[1:] for row in rows]},
+            "values": {"columns": list(EVOLVE_HEADER[1:]), "rows": [row[1:] for row in rows]},
         }))
     else:
-        _emit(args, _csv(header, rows))
+        _emit(args, _csv(EVOLVE_HEADER, rows))
     return 0
 
 
@@ -468,20 +477,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PositivityViolationError, WeightError, InfeasibleRangeError,
-            SeparableRegionError, NotPositiveError, TraceNotOneError,
-            NonHermitianError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    except (EigenFailureError, NonFiniteError, KinkRegionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
     except EntrateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,85 +1,103 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the CLI exit code and stderr label of its outcome through
+one of three bases: InvalidArgument (2), Infeasible (3), NumericalFailure (4).
+"""
 
 
 class EntrateError(Exception):
     """Base class for all errors raised by entrate."""
 
-
-class NonHermitianError(EntrateError):
-    """Matrix expected to be Hermitian is not (message carries the defect)."""
-
-
-class TraceNotOneError(EntrateError):
-    """Density matrix trace differs from one beyond tolerance."""
+    exit_code = 4
+    label = "error"
 
 
-class NotPositiveError(EntrateError):
-    """Matrix has an eigenvalue below the positivity tolerance."""
+class InvalidArgument(EntrateError):
+    """The request is malformed: bad syntax, domain or dimensions."""
+
+    exit_code = 2
 
 
-class PositivityViolationError(EntrateError):
-    """Parametric state family point lies outside its positivity region."""
+class Infeasible(EntrateError):
+    """The request is well formed but names no valid state or sweep."""
+
+    exit_code = 3
+    label = "infeasible"
 
 
-class NotBellDiagonalError(EntrateError):
-    """State does not fit the Bell-diagonal matrix pattern."""
+class NumericalFailure(EntrateError):
+    """A valid request whose computation failed or overflowed."""
+
+    label = "numerical failure"
 
 
-class DimensionMismatchError(EntrateError):
-    """Operands have incompatible dimensions."""
+class ParseError(InvalidArgument):
+    """Malformed command-line state specification or matrix file."""
 
 
-class EigenFailureError(EntrateError):
-    """Eigensolver failed to converge or produced an invalid spectrum."""
-
-
-class DomainError(EntrateError):
+class DomainError(InvalidArgument):
     """Scalar argument outside the function's domain."""
 
 
-class KinkRegionError(EntrateError):
-    """Entanglement gradient requested at the non-differentiable c = 0 kink."""
+class DimensionMismatchError(InvalidArgument):
+    """Operands have incompatible dimensions or shapes."""
 
 
-class StepSizeTooLargeError(EntrateError):
-    """Integrator trace drift exceeded its tolerance; reduce the step."""
-
-
-class NonFiniteError(EntrateError):
-    """A computed value overflowed to infinity or NaN."""
-
-
-class IncompleteChannelError(EntrateError):
-    """Kraus operators do not sum to the identity within tolerance."""
-
-
-class WeightError(EntrateError):
-    """Probability weights are negative or do not sum to one."""
-
-
-class NonHermitianEffectiveError(EntrateError):
-    """Effective Hamiltonian handed to the unitary evolver is not Hermitian."""
-
-
-class IndexOutOfRangeError(EntrateError, IndexError):
+class IndexOutOfRangeError(InvalidArgument, IndexError):
     """Trajectory index without the neighbours a central difference needs."""
 
 
-class SeparableRegionError(EntrateError):
-    """Closed-form rate requested where the state family is separable."""
+class PositivityViolationError(Infeasible):
+    """Parametric state family point lies outside its positivity region."""
 
 
-class DegenerateDirectionError(EntrateError):
-    """Entangling/decohering threshold undefined: q_I * (2p - 1) vanishes."""
+class WeightError(Infeasible):
+    """Probability weights are negative or do not sum to one."""
 
 
-class ShapeMismatchError(EntrateError):
-    """Gradient and rate blocks have different shapes."""
-
-
-class InfeasibleRangeError(EntrateError):
+class InfeasibleRangeError(Infeasible):
     """Requested sweep range leaves the valid parameter region."""
 
 
-class ParseError(EntrateError):
-    """Malformed command-line state specification or matrix file."""
+class SeparableRegionError(Infeasible):
+    """Closed-form rate requested where the state family is separable."""
+
+
+class NotPositiveError(Infeasible):
+    """Matrix has an eigenvalue below the positivity tolerance."""
+
+
+class TraceNotOneError(Infeasible):
+    """Density matrix trace differs from one beyond tolerance."""
+
+
+class NonHermitianError(Infeasible):
+    """Matrix expected to be Hermitian is not (message carries the defect)."""
+
+
+class NotBellDiagonalError(Infeasible):
+    """State does not fit the Bell-diagonal matrix pattern."""
+
+
+class IncompleteChannelError(Infeasible):
+    """Kraus operators do not sum to the identity within tolerance."""
+
+
+class DegenerateDirectionError(Infeasible):
+    """Entangling/decohering threshold undefined: q_I * (2p - 1) vanishes."""
+
+
+class EigenFailureError(NumericalFailure):
+    """Eigensolver failed to converge or produced an invalid spectrum."""
+
+
+class NonFiniteError(NumericalFailure):
+    """A computed value overflowed to infinity or NaN."""
+
+
+class KinkRegionError(NumericalFailure):
+    """Entanglement gradient requested at the non-differentiable c = 0 kink."""
+
+
+class StepSizeTooLargeError(NumericalFailure):
+    """Integrator trace drift exceeded its tolerance; reduce the step."""

@@ -11,12 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    IncompleteChannelError,
-    NonHermitianEffectiveError,
-    WeightError,
-)
+from .errors import DimensionMismatchError, IncompleteChannelError, NonHermitianError, WeightError
 from .lindblad import LindbladModel, Trajectory, integrate
 from .qstate import DensityMatrix, new_density
 
@@ -139,7 +134,7 @@ def evolve_effective(
     h = np.asarray(h_e.h_e, dtype=complex)
     defect = np.abs(h - h.conj().T).max()
     if defect > HERMITICITY_TOL:
-        raise NonHermitianEffectiveError(
+        raise NonHermitianError(
             f"effective Hamiltonian Hermiticity defect {defect!r} exceeds {HERMITICITY_TOL}"
         )
     if h.shape[0] != rho0.dim:

@@ -224,7 +224,8 @@ def integrate(
 
     The last step is shortened to land on t_end.  A LindbladModel is
     propagated exactly: each step applies exp(L step), one exponential per
-    distinct step length; NonFiniteError is raised when L step overflows.
+    distinct step length; NonFiniteError is raised when L step overflows,
+    DimensionMismatchError when rho0's shape differs from h0's.
 
     A callable rhs is stepped by classic fourth-order Runge-Kutta.  Each
     stored state is re-Hermitized ((rho + rho^dagger)/2) and
@@ -236,6 +237,10 @@ def integrate(
         raise DomainError(f"step size must be positive and finite, got {dt!r}")
     if not (np.isfinite(t_end) and t_end >= 0):
         raise DomainError(f"t_end must be nonnegative and finite, got {t_end!r}")
+    if isinstance(rhs, LindbladModel) and rho0.elements.shape != rhs.h0.shape:
+        raise DimensionMismatchError(
+            f"state shape {rho0.elements.shape} does not match h0 shape {rhs.h0.shape}"
+        )
 
     times, steps = [0.0], []
     t = 0.0

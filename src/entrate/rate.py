@@ -134,7 +134,10 @@ def rate_xy_value(p: float, q: complex, g: float, gamma: float) -> float:
     satisfies the state positivity condition; sweep commands rely on this
     to evaluate the formula on the full coherence disk.
     """
-    aq = abs(q)
+    try:
+        aq = abs(q)
+    except OverflowError:  # |q| beyond the largest float
+        aq = np.inf
     if aq <= XY_SEPARABLE_TOL:
         raise SeparableRegionError(f"closed form needs |q| > {XY_SEPARABLE_TOL}, got {aq!r}")
     big_g = 2.0 * aq

@@ -17,12 +17,7 @@ from entrate import (
     rhs_damped_xy,
 )
 from entrate.blochsun import recompose_matrix
-from entrate.errors import (
-    DimensionMismatchError,
-    DomainError,
-    NotPositiveError,
-    ShapeMismatchError,
-)
+from entrate.errors import DimensionMismatchError, DomainError, NotPositiveError
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -179,7 +174,7 @@ class TestRateBloch:
         assert rate_bloch(grad, rates) == 0.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DimensionMismatchError):
             rate_bloch((np.zeros(3), np.zeros(3), np.zeros((3, 3))),
                        (np.zeros(8), np.zeros(3), np.zeros((3, 3))))
 

@@ -1,10 +1,16 @@
+import argparse
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import entrate.cli
 from entrate import rate_xy_value
-from entrate.cli import main
+from entrate.cli import _finite_float, build_parser, main
 from entrate.errors import DomainError, SeparableRegionError
 
 
@@ -177,6 +183,15 @@ class TestEvolve:
                                "--t-end", "0.1", "--dt", "0.05")
         assert code == 0
 
+    def test_wrong_sized_matrix_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "qubit.txt"
+        np.savetxt(path, np.eye(2) / 2)
+        code, out, err = run_cli(capsys, "evolve", "matrix", str(path),
+                                 "--t-end", "0.1", "--dt", "0.05")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: state shape (2, 2)")
+
     def test_bad_state_spec_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "evolve", "werner", "1", "0", "--t-end", "1")
         assert code == 2
@@ -304,6 +319,11 @@ XY_STATE = ("--", "xy", "0.6", "0", "0.3")
     (("fig1", "--gamma", "1e308"), 4),
     (("fig3", "--p", "1e300", "--grid", "5", "--format", "json"), 4),
     (("fig3", "--p", "1e300", "--grid", "5"), 4),
+    (("evolve", "--g", "1e5", "--t-end", "10", *XY_STATE), 3),
+    (("fig2", "--grid", "100000"), 3),
+    (("fig3", "--grid", "100000"), 3),
+    (("fig1", "--grid", "1000000000"), 3),
+    (("criterion", "--p=0", "--qr=1.2711610061536462e+308", "--qi=1.2711610061536464e+308"), 2),
 ])
 def test_malformed_input_exits_with_message(capsys, argv, want):
     try:
@@ -313,3 +333,43 @@ def test_malformed_input_exits_with_message(capsys, argv, want):
     err = capsys.readouterr().err
     assert code == want
     assert err.strip() and "Traceback" not in err
+
+
+def _option_types(command):
+    """Option string -> argparse type, for every option of one subcommand."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0]: a.type for a in sub.choices[command]._actions if a.option_strings}
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "evolve", "rate", "criterion"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_floats_end_in_a_documented_exit(command, data):
+    """Any float (huge, tiny, +-0, subnormal, nan, inf) in any float option,
+    and in the evolve state spec, ends in exit 0/2/3/4; JSON output parses."""
+    fmt = data.draw(st.sampled_from(["csv", "json"]), label="format")
+    argv = [command, "--format", fmt]
+    for option, kind in _option_types(command).items():
+        if kind is _finite_float:
+            value = data.draw(st.none() | st.floats(), label=option)
+            if value is not None:
+                argv.append(f"{option}={value!r}")
+        elif kind is int:
+            argv.append(f"{option}={data.draw(st.integers(-1, 6), label=option)}")
+    if command == "evolve":
+        family, size = data.draw(st.sampled_from([("xy", 3), ("werner", 4)]), label="state")
+        values = data.draw(st.lists(st.floats(), min_size=size, max_size=size), label="values")
+        argv += ["--", family, *map(repr, values)]
+
+    out, err = StringIO(), StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.setattr(entrate.cli, "MAX_VALUES", 20_000)  # keeps every example small and fast
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
+    if code:
+        assert err.getvalue().strip() and "Traceback" not in err.getvalue(), argv
+    elif fmt == "json":
+        json.loads(out.getvalue())

@@ -17,7 +17,7 @@ from entrate import (
 from entrate.errors import (
     DimensionMismatchError,
     IncompleteChannelError,
-    NonHermitianEffectiveError,
+    NonHermitianError,
     WeightError,
 )
 
@@ -149,5 +149,5 @@ class TestEvolveEffective:
 
     def test_non_hermitian_generator_rejected(self):
         bad = EffectiveHamiltonian(np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
-        with pytest.raises(NonHermitianEffectiveError):
+        with pytest.raises(NonHermitianError):
             evolve_effective(bad, new_density(np.eye(2) / 2), 1.0, 0.1)

@@ -218,6 +218,11 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(lambda r: np.zeros((4, 4)), rho, -1.0, 0.1)
 
+    def test_state_shape_must_match_model(self):
+        model = damped_xy_model(ModelParams(1.0, 0.2, 0.01))
+        with pytest.raises(DimensionMismatchError):
+            integrate(model, new_density(np.eye(2) / 2), 0.1, 0.05)
+
     def test_final_time_is_exact(self):
         rho = new_density(np.eye(4) / 4)
         traj = integrate(lambda r: np.zeros((4, 4), dtype=complex), rho, 0.25, 0.1)
