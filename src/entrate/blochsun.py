@@ -9,6 +9,7 @@ generator tensor products; the generalized chain rule contracts a measure
 gradient over (alpha, beta, gamma) with the coefficient rates.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError
 from .qstate import DensityMatrix, new_density
 
-ORTHOGONALITY_TOL = 1e-12
 REALITY_TOL = 1e-12
 
 
@@ -37,9 +37,7 @@ class BlochDecomposition:
     gamma_ij: np.ndarray
 
 
-_BASIS_CACHE: dict[int, GeneratorBasis] = {}
-
-
+@functools.cache
 def gell_mann_basis(n: int) -> GeneratorBasis:
     """Generalized Gell-Mann generators of SU(n), Tr(s_i s_j) = 2 d_ij.
 
@@ -48,8 +46,6 @@ def gell_mann_basis(n: int) -> GeneratorBasis:
     """
     if n < 2:
         raise DomainError(f"generator basis needs n >= 2, got {n}")
-    if n in _BASIS_CACHE:
-        return _BASIS_CACHE[n]
 
     gens = []
     for j in range(n):
@@ -72,9 +68,7 @@ def gell_mann_basis(n: int) -> GeneratorBasis:
 
     for g in gens:
         g.setflags(write=False)
-    basis = GeneratorBasis(dim=n, generators=tuple(gens))
-    _BASIS_CACHE[n] = basis
-    return basis
+    return GeneratorBasis(dim=n, generators=tuple(gens))
 
 
 def _with_identity(n: int) -> np.ndarray:

@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +42,7 @@ from .lindblad import (
     rhs_damped_xy,
 )
 from .qstate import (
+    FEASIBILITY_TOL,
     DensityMatrix,
     WernerParams,
     XYFamilyParams,
@@ -56,6 +56,7 @@ from .rate import (
     rate_chain,
     rate_numeric,
     rate_werner,
+    _rate_werner_many,
     _rate_xy_many,
     rate_xy,
     rate_xy_value,
@@ -63,7 +64,6 @@ from .rate import (
 
 CURVE_POINTS = 201
 GRID_POINTS = 101
-FEASIBILITY_TOL = 1e-12
 MAX_VALUES = 10**7  # reported numbers (rows x columns) a run may emit
 EVOLVE_HEADER = ("t", *(f"rho{i}{j}_{part}" for i in range(1, 5) for j in range(1, 5)
                         for part in ("re", "im")), "trace", "min_eig", "E", "rate_numeric")
@@ -78,30 +78,19 @@ def _check_size(command: str, rows: float, columns: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    command: str
-    ranges: dict
-    params: ModelParams
-    header: tuple[str, ...]
-
-    def __post_init__(self):
-        for name, (start, stop, count) in self.ranges.items():
-            if count < 2:
-                raise InfeasibleRangeError(f"axis {name} needs at least 2 points")
-            if not (np.isfinite(start) and np.isfinite(stop)):
-                raise InfeasibleRangeError(f"axis {name} range is not finite")
-        rows = math.prod(count for _, _, count in self.ranges.values())
-        _check_size(self.command, rows, len(self.header))
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "ranges": {k: list(v) for k, v in self.ranges.items()},
-            "omega": self.params.omega,
-            "g": self.params.g,
-            "gamma": self.params.gamma,
-        }
+def _sweep(command: str, ranges: dict, params: ModelParams,
+           header: Sequence[str]) -> tuple[dict, list[np.ndarray]]:
+    """Check each (start, stop, count) axis and the run's size; return the JSON
+    config and the axes, both built from the same tuples."""
+    for name, (start, stop, count) in ranges.items():
+        if count < 2:
+            raise InfeasibleRangeError(f"axis {name} needs at least 2 points")
+        if not (np.isfinite(start) and np.isfinite(stop)):
+            raise InfeasibleRangeError(f"axis {name} range is not finite")
+    _check_size(command, math.prod(count for _, _, count in ranges.values()), len(header))
+    config = {"command": command, "ranges": {k: list(v) for k, v in ranges.items()},
+              "omega": params.omega, "g": params.g, "gamma": params.gamma}
+    return config, [np.linspace(*r) for r in ranges.values()]
 
 
 def _fmt(x) -> str:
@@ -145,33 +134,26 @@ def _json_doc(obj: dict) -> str:
 # ---------------------------------------------------------------- fig1
 
 def cmd_fig1(args) -> int:
-    gam, cd = args.gamma, args.cd
-    count = args.grid
-    a_max = 1.0 - cd
-    a_min = 0.55
-    if cd < 0 or a_max <= a_min or a_max <= 0.5:
+    cd = args.cd
+    a_min, a_max = 0.55, 1.0 - cd
+    if cd < 0 or a_max <= a_min:
         raise InfeasibleRangeError(
             f"no valid sweep range for c+d = {cd!r}: needs a in ({a_min}, {a_max})"
         )
-    a_max = min(a_max, 0.9)
-    config = SweepConfig(
-        "fig1", {"a": (a_min, a_max, count)}, ModelParams(args.omega, args.g, gam),
-        ("a", "rate"),
-    )
-    a_grid = np.linspace(a_min, a_max, count)
-    values = []
-    for a in a_grid:
-        w = WernerParams(a, 1.0 - a - cd, cd / 2.0, cd / 2.0)
-        values.append(rate_werner(w, config.params))
+    params = ModelParams(args.omega, args.g, args.gamma)
+    header = ("a", "rate")
+    config, (a_grid,) = _sweep("fig1", {"a": (a_min, min(a_max, 0.9), args.grid)}, params,
+                               header)
+    values = _rate_werner_many(a_grid, 1.0 - a_grid - cd, cd / 2.0, cd / 2.0, params.gamma)
     _check_finite("rate", values)
     if args.format == "json":
         _emit(args, _json_doc({
-            "config": config.to_dict() | {"cd": cd},
-            "axes": {"a": [float(a) for a in a_grid]},
-            "values": values,
+            "config": config | {"cd": cd},
+            "axes": {"a": a_grid.tolist()},
+            "values": values.tolist(),
         }))
     else:
-        _emit(args, _csv(config.header, [[a, v] for a, v in zip(a_grid, values)]))
+        _emit(args, _csv(header, zip(a_grid.tolist(), values.tolist())))
     return 0
 
 
@@ -179,22 +161,21 @@ def cmd_fig1(args) -> int:
 
 def cmd_fig2(args) -> int:
     count = args.grid
-    config = SweepConfig(
+    header = ("p", "qabs", "R")
+    config, (p_grid, q_grid) = _sweep(
         "fig2", {"p": (0.0, 1.0, count), "qabs": (0.0, 0.5, count)},
-        ModelParams(args.omega, args.g, args.gamma), ("p", "qabs", "R"),
+        ModelParams(args.omega, args.g, args.gamma), header,
     )
-    p_grid = np.linspace(0.0, 1.0, count)
-    q_grid = np.linspace(0.0, 0.5, count)
     values = xy_positivity(p_grid[:, None], q_grid[None, :])
     if args.format == "json":
         _emit(args, _json_doc({
-            "config": config.to_dict(),
+            "config": config,
             "axes": {"p": p_grid.tolist(), "qabs": q_grid.tolist()},
             "values": values.tolist(),
         }))
     else:
         cols = (np.repeat(p_grid, count), np.tile(q_grid, count), values.ravel())
-        _emit(args, _csv(config.header, zip(*(c.tolist() for c in cols))))
+        _emit(args, _csv(header, zip(*(c.tolist() for c in cols))))
     return 0
 
 
@@ -209,12 +190,10 @@ def cmd_fig3(args) -> int:
     """
     count = args.grid
     params = ModelParams(args.omega, args.g, args.gamma)
-    config = SweepConfig(
-        "fig3", {"qr": (0.0, 0.5, count), "qi": (0.0, 0.5, count)},
-        params, ("qr", "qi", "R", "feasible", "rate"),
+    header = ("qr", "qi", "R", "feasible", "rate")
+    config, (qr_grid, qi_grid) = _sweep(
+        "fig3", {"qr": (0.0, 0.5, count), "qi": (0.0, 0.5, count)}, params, header,
     )
-    qr_grid = np.linspace(0.0, 0.5, count)
-    qi_grid = np.linspace(0.0, 0.5, count)
     q = qr_grid[:, None] + 1j * qi_grid[None, :]
     r = xy_positivity(args.p, q)
     vals = _rate_xy_many(args.p, q, params.g, params.gamma)
@@ -237,7 +216,7 @@ def cmd_fig3(args) -> int:
     rates = np.where(np.isnan(vals), None, vals)
     if args.format == "json":
         _emit(args, _json_doc({
-            "config": config.to_dict() | {"p": args.p},
+            "config": config | {"p": args.p},
             "axes": {"qr": qr_grid.tolist(), "qi": qi_grid.tolist()},
             "values": rates.tolist(),
             "R": r.tolist(),
@@ -247,7 +226,7 @@ def cmd_fig3(args) -> int:
     else:
         cols = (np.repeat(qr_grid, count), np.tile(qi_grid, count), r.ravel(),
                 np.where(r <= FEASIBILITY_TOL, "1", "0").ravel(), rates.ravel())
-        _emit(args, _csv(config.header, zip(*(c.tolist() for c in cols))))
+        _emit(args, _csv(header, zip(*(c.tolist() for c in cols))))
     return 0
 
 
@@ -476,7 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow leaves a non-finite value that the commands report as an
+        # EntrateError; numpy's warnings would print ahead of that message.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except EntrateError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

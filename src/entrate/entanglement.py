@@ -30,6 +30,17 @@ INPUT_PSD_FLOOR = 1e-3
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_SY, _SY).real  # sy x sy is a real signed permutation
 
+# eof_gradient's 16 Hermitian directions, one per independent element:
+# E_ij + E_ji for j >= i (Re rho_ij, the diagonal E_ii), then iE_ij - iE_ji
+# for j > i (Im rho_ij).  _PART, _ROW, _COL scatter a slope per direction
+# into (dE_dRe, dE_dIm).
+_ROW, _COL = np.hstack([np.triu_indices(4), np.triu_indices(4, 1)])
+_PART = np.repeat([0, 1], [10, 6])
+_DIRECTIONS = np.zeros((16, 4, 4), dtype=complex)
+_DIRECTIONS[np.arange(16), _COL, _ROW] = np.where(_PART, -1j, 1.0)
+_DIRECTIONS[np.arange(16), _ROW, _COL] = np.where(_PART, 1j, 1.0)
+_DIRECTIONS.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
@@ -54,11 +65,7 @@ def spin_flip(rho: DensityMatrix) -> np.ndarray:
     """Return rho_tilde = (sy x sy) conj(rho) (sy x sy)."""
     if rho.dim != 4:
         raise DimensionMismatchError(f"spin flip needs dim 4, got {rho.dim}")
-    return _spin_flip_raw(rho.elements)
-
-
-def _spin_flip_raw(mat: np.ndarray) -> np.ndarray:
-    return _SYY @ mat.conj() @ _SYY
+    return _SYY @ rho.elements.conj() @ _SYY
 
 
 def _concurrence_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,32 +155,12 @@ def eof_gradient(rho: DensityMatrix) -> MeasureGradient:
             f"concurrence {c!r} is within {KINK_TOL} of the c = 0 kink"
         )
 
-    # One direction per independent element: Re rho_ij for j >= i, then
-    # Im rho_ij for j > i.  rho_ij moves by `step` and its partner rho_ji by
-    # the conjugate, written as -step on Im directions so no zero flips sign.
-    h = GRADIENT_STEP
-    iu, ju = np.triu_indices(4)
-    off = iu != ju
-    i, j = np.concatenate([iu, iu[off]]), np.concatenate([ju, ju[off]])
-    step = np.concatenate([np.full(len(iu), complex(h, 0.0)), np.full(off.sum(), 1j * h)])
-    partner = np.where(step.imag != 0.0, -step, step)
-    k, pair = np.arange(len(step)), i != j
-    plus = np.repeat(rho.elements[None], len(step), axis=0)
-    minus = plus.copy()
-    plus[k, i, j] += step
-    minus[k, i, j] -= step
-    plus[k[pair], j[pair], i[pair]] += partner[pair]
-    minus[k[pair], j[pair], i[pair]] -= partner[pair]
-    e = eof_many(np.concatenate([plus, minus]))
-    slope = (e[: len(step)] - e[len(step):]) / (2 * h)
-
-    d_re = np.zeros((4, 4))
-    d_im = np.zeros((4, 4))
-    d_re[iu, ju] = slope[: len(iu)]
-    d_im[iu[off], ju[off]] = slope[len(iu):]
-    d_re.setflags(write=False)
-    d_im.setflags(write=False)
-    return MeasureGradient(dE_dRe=d_re, dE_dIm=d_im)
+    step = GRADIENT_STEP * _DIRECTIONS
+    e = eof_many(np.concatenate([rho.elements + step, rho.elements - step]))
+    grad = np.zeros((2, 4, 4))
+    grad[_PART, _ROW, _COL] = (e[:16] - e[16:]) / (2 * GRADIENT_STEP)
+    grad.setflags(write=False)
+    return MeasureGradient(dE_dRe=grad[0], dE_dIm=grad[1])
 
 
 def concurrence_werner(w: WernerParams) -> float:

@@ -20,6 +20,7 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
+FEASIBILITY_TOL = 1e-12  # an XY point is a state iff R <= FEASIBILITY_TOL
 POSITIVITY_TOL = 1e-10
 BELL_PATTERN_TOL = 1e-10
 
@@ -68,7 +69,7 @@ class XYFamilyParams:
 
     def __post_init__(self):
         r = float(xy_positivity(self.p, self.q))
-        if r > TRACE_TOL:
+        if r > FEASIBILITY_TOL:
             raise PositivityViolationError(
                 f"state family requires p^2 - p + |q|^2 <= 0, got R = {r!r}"
             )

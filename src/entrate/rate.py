@@ -108,13 +108,15 @@ def rate_werner(w: WernerParams, params: ModelParams) -> float:
         raise SeparableRegionError(
             f"closed form needs F = a-b-c-d > {SEPARABLE_TOL}, got {f!r}"
         )
-    s = w.c + w.d
-    gam = params.gamma
-    if s > 0.0:
-        f_dot = gam * s - 2.0 * gam * w.a
-    else:
-        f_dot = -gam * f
-    return float(_measure_slope(f) * f_dot)
+    return float(_rate_werner_many(w.a, w.b, w.c, w.d, params.gamma))
+
+
+def _rate_werner_many(a, b, c, d, gamma) -> np.ndarray:
+    """rate_werner elementwise over arrays of weights, without its F check."""
+    f = a - b - c - d
+    s = c + d
+    f_dot = np.where(s > 0.0, gamma * s - 2.0 * gamma * a, -gamma * f)
+    return _measure_slope(f) * f_dot
 
 
 def _rate_xy_many(p, q, g, gamma) -> np.ndarray:
@@ -161,7 +163,11 @@ def criterion_threshold_value(p: float, q: complex) -> float:
         raise DegenerateDirectionError(
             "qI (2p-1) = 0: no entangling direction, the rate has the sign of -gamma |q|^2"
         )
-    return abs(q) ** 2 / denom
+    try:
+        aq2 = abs(q) ** 2
+    except OverflowError:  # |q|^2 beyond the largest float
+        aq2 = np.inf
+    return aq2 / denom
 
 
 def criterion_threshold(x: XYFamilyParams) -> float:

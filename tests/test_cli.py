@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entrate.cli
-from entrate import rate_xy_value
+from entrate import ModelParams, WernerParams, rate_werner, rate_xy_value
 from entrate.cli import _finite_float, build_parser, main
 from entrate.errors import DomainError, SeparableRegionError
 
@@ -63,6 +63,23 @@ class TestFig1:
         run_cli(capsys, "fig1", "--grid", "21", "--format", "json", "--out", str(f1))
         run_cli(capsys, "fig1", "--grid", "21", "--format", "json", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("grid", ["2", "301"])
+    @pytest.mark.parametrize("cd", ["0", "0.1"])  # 0 is the c + d = 0 branch
+    def test_points_match_scalar_closed_form(self, capsys, grid, cd):
+        code, out, _ = run_cli(capsys, "fig1", "--grid", grid, "--cd", cd, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        cfg = doc["config"]
+        params = ModelParams(cfg["omega"], cfg["g"], cfg["gamma"])
+        cd = cfg["cd"]
+        want = [rate_werner(WernerParams(a, 1 - a - cd, cd / 2, cd / 2), params)
+                for a in doc["axes"]["a"]]
+        assert doc["values"] == want
+        code, out, _ = run_cli(capsys, "fig1", "--grid", grid, "--cd", str(cd))
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [float(r[1]) for r in rows] == want
 
 
 class TestFig2:
@@ -136,6 +153,17 @@ class TestFig3:
                 except (SeparableRegionError, DomainError):
                     want = None
                 assert doc["values"][i][j] == want
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3"])
+def test_axes_are_the_configured_ranges(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--grid", "7", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    ranges = doc["config"]["ranges"]
+    assert list(ranges) == list(doc["axes"])
+    for name, r in ranges.items():
+        assert doc["axes"][name] == np.linspace(*r).tolist()
 
 
 class TestEvolve:
@@ -324,6 +352,8 @@ XY_STATE = ("--", "xy", "0.6", "0", "0.3")
     (("fig3", "--grid", "100000"), 3),
     (("fig1", "--grid", "1000000000"), 3),
     (("criterion", "--p=0", "--qr=1.2711610061536462e+308", "--qi=1.2711610061536464e+308"), 2),
+    (("fig3", "--p=1.3407807929942597e+154", "--grid=2", "--g=1.3407807929942597e+154"), 4),
+    (("rate", "--p=0.0", "--qr=1.3407807929942597e+154"), 3),
 ])
 def test_malformed_input_exits_with_message(capsys, argv, want):
     try:

@@ -196,6 +196,12 @@ class TestCriterionThreshold:
     def test_threshold_arithmetic(self):
         assert criterion_threshold_value(0.6, 0.5j) == pytest.approx(2.5)
 
+    @pytest.mark.parametrize("q", [2e154j, complex(1.27e308, 1.27e308)])
+    def test_overflowing_coherence_gives_infinite_threshold(self, q):
+        # |q|^2 (and for the second q, |q| itself) is past the largest float
+        assert criterion_threshold_value(0.0, q) == -np.inf
+        assert criterion_threshold_value(1.0, q) == np.inf
+
     def test_typed_operation_on_feasible_point(self):
         assert criterion_threshold(XYFamilyParams(0.6, 0.4j)) == pytest.approx(
             0.16 / (0.4 * 0.2)
