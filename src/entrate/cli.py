@@ -100,11 +100,15 @@ def _fmt(x) -> str:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
+    """Write a command's document to --out, or to stdout without one."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write output file: {exc}") from exc
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -112,6 +116,21 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines.extend(",".join(_fmt(cell) if not isinstance(cell, str) else cell for cell in row)
                  for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _grid_csv(header: Sequence[str], x: np.ndarray, y: np.ndarray, *values) -> str:
+    """Long-format CSV of a 2-D grid: one row per (x, y) cell, x varying slowest."""
+    cols = (np.repeat(x, len(y)), np.tile(y, len(x)), *(np.ravel(v) for v in values))
+    return _csv(header, zip(*(c.tolist() for c in cols)))
+
+
+def _report(pairs: Iterable[tuple[str, object]]) -> str:
+    """`name = value` lines: None reads `undefined`, a string is printed as it is."""
+    def text(value):
+        if value is None:
+            return "undefined"
+        return value if isinstance(value, str) else _fmt(value)
+    return "".join(f"{name} = {text(value)}\n" for name, value in pairs)
 
 
 def _check_finite(name: str, values) -> None:
@@ -133,7 +152,7 @@ def _json_doc(obj: dict) -> str:
 
 # ---------------------------------------------------------------- fig1
 
-def cmd_fig1(args) -> int:
+def cmd_fig1(args) -> str:
     cd = args.cd
     a_min, a_max = 0.55, 1.0 - cd
     if cd < 0 or a_max <= a_min:
@@ -147,19 +166,17 @@ def cmd_fig1(args) -> int:
     values = _rate_werner_many(a_grid, 1.0 - a_grid - cd, cd / 2.0, cd / 2.0, params.gamma)
     _check_finite("rate", values)
     if args.format == "json":
-        _emit(args, _json_doc({
+        return _json_doc({
             "config": config | {"cd": cd},
             "axes": {"a": a_grid.tolist()},
             "values": values.tolist(),
-        }))
-    else:
-        _emit(args, _csv(header, zip(a_grid.tolist(), values.tolist())))
-    return 0
+        })
+    return _csv(header, zip(a_grid.tolist(), values.tolist()))
 
 
 # ---------------------------------------------------------------- fig2
 
-def cmd_fig2(args) -> int:
+def cmd_fig2(args) -> str:
     count = args.grid
     header = ("p", "qabs", "R")
     config, (p_grid, q_grid) = _sweep(
@@ -168,20 +185,17 @@ def cmd_fig2(args) -> int:
     )
     values = xy_positivity(p_grid[:, None], q_grid[None, :])
     if args.format == "json":
-        _emit(args, _json_doc({
+        return _json_doc({
             "config": config,
             "axes": {"p": p_grid.tolist(), "qabs": q_grid.tolist()},
             "values": values.tolist(),
-        }))
-    else:
-        cols = (np.repeat(p_grid, count), np.tile(q_grid, count), values.ravel())
-        _emit(args, _csv(header, zip(*(c.tolist() for c in cols))))
-    return 0
+        })
+    return _grid_csv(header, p_grid, q_grid, values)
 
 
 # ---------------------------------------------------------------- fig3
 
-def cmd_fig3(args) -> int:
+def cmd_fig3(args) -> str:
     """XY-family rate over the (qR, qI) grid.
 
     The closed form is evaluated on its whole domain 0 < |q| <= 1/2; the
@@ -200,34 +214,26 @@ def cmd_fig3(args) -> int:
     _check_finite("R", r)
     _check_finite("rate", vals[~np.isnan(vals)])  # NaN marks masked cells
 
-    best = worst = None
+    extremes = {}  # argmax/argmin -> its cell, absent when every cell is masked
     if not np.isnan(vals).all():
-        i, j = np.unravel_index(np.nanargmax(vals), vals.shape)
-        best = (vals[i, j], qr_grid[i], qi_grid[j])
-        i, j = np.unravel_index(np.nanargmin(vals), vals.shape)
-        worst = (vals[i, j], qr_grid[i], qi_grid[j])
-    summary = (
-        f"argmax qr={_fmt(best[1])} qi={_fmt(best[2])} rate={_fmt(best[0])}\n"
-        f"argmin qr={_fmt(worst[1])} qi={_fmt(worst[2])} rate={_fmt(worst[0])}\n"
-        if best and worst else "all cells masked\n"
-    )
-    print(summary, end="", file=sys.stderr)
+        for key, pick in (("argmax", np.nanargmax), ("argmin", np.nanargmin)):
+            i, j = np.unravel_index(pick(vals), vals.shape)
+            extremes[key] = {"qr": qr_grid[i], "qi": qi_grid[j], "rate": vals[i, j]}
+    summary = "".join(f"{key} " + " ".join(f"{k}={_fmt(v)}" for k, v in cell.items()) + "\n"
+                      for key, cell in extremes.items())
+    print(summary or "all cells masked\n", end="", file=sys.stderr)
 
     rates = np.where(np.isnan(vals), None, vals)
     if args.format == "json":
-        _emit(args, _json_doc({
+        return _json_doc({
             "config": config | {"p": args.p},
             "axes": {"qr": qr_grid.tolist(), "qi": qi_grid.tolist()},
             "values": rates.tolist(),
             "R": r.tolist(),
-            "argmax": {"qr": best[1], "qi": best[2], "rate": best[0]} if best else None,
-            "argmin": {"qr": worst[1], "qi": worst[2], "rate": worst[0]} if worst else None,
-        }))
-    else:
-        cols = (np.repeat(qr_grid, count), np.tile(qi_grid, count), r.ravel(),
-                np.where(r <= FEASIBILITY_TOL, "1", "0").ravel(), rates.ravel())
-        _emit(args, _csv(header, zip(*(c.tolist() for c in cols))))
-    return 0
+            "argmax": extremes.get("argmax"),
+            "argmin": extremes.get("argmin"),
+        })
+    return _grid_csv(header, qr_grid, qi_grid, r, np.where(r <= FEASIBILITY_TOL, "1", "0"), rates)
 
 
 # ---------------------------------------------------------------- evolve
@@ -274,24 +280,23 @@ def _evolve_rows(traj: Trajectory) -> list[list]:
     return rows
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> str:
     rho0 = _parse_state(args.state)
     params = ModelParams(args.omega, args.g, args.gamma)
-    dt = args.dt if args.dt else default_step(params)
-    # max() leaves a negative t_end or dt to integrate's DomainError.
-    _check_size("evolve", max(args.t_end, 0.0) / dt + 1, len(EVOLVE_HEADER))
+    dt = args.dt if args.dt is not None else default_step(params)
+    # A negative t_end, or a step that is not positive, is left to integrate's DomainError.
+    if dt > 0:
+        _check_size("evolve", max(args.t_end, 0.0) / dt + 1, len(EVOLVE_HEADER))
     traj = integrate(damped_xy_model(params), rho0, args.t_end, dt)
     rows = _evolve_rows(traj)
     if args.format == "json":
-        _emit(args, _json_doc({
+        return _json_doc({
             "config": {"command": "evolve", "state": args.state, "omega": params.omega,
                        "g": params.g, "gamma": params.gamma, "t_end": args.t_end, "dt": dt},
             "axes": {"t": [float(t) for t in traj.times]},
             "values": {"columns": list(EVOLVE_HEADER[1:]), "rows": [row[1:] for row in rows]},
-        }))
-    else:
-        _emit(args, _csv(EVOLVE_HEADER, rows))
-    return 0
+        })
+    return _csv(EVOLVE_HEADER, rows)
 
 
 # ---------------------------------------------------------------- rate
@@ -308,9 +313,11 @@ def _three_route_report(rho0, closed, params, dt) -> list[tuple[str, float]]:
     return lines
 
 
-def cmd_rate(args) -> int:
+def cmd_rate(args) -> str:
     params = ModelParams(args.omega, args.g, args.gamma)
-    dt = args.dt if args.dt else 1e-3 / max(args.g, args.gamma, 1.0)
+    dt = args.dt if args.dt is not None else 1e-3 / max(args.g, args.gamma, 1.0)
+    if args.p is not None and args.a is not None:
+        raise ParseError("rate takes either --p/--qr/--qi or --a/--cd, not both")
     if args.p is not None:
         x = XYFamilyParams(args.p, complex(args.qr, args.qi))
         rho0 = xy_state(x)
@@ -327,18 +334,15 @@ def cmd_rate(args) -> int:
         _check_finite(name, value)
 
     if args.format == "json":
-        _emit(args, _json_doc({"config": point | {"g": params.g, "gamma": params.gamma,
-                                                  "omega": params.omega, "dt": dt},
-                               "values": {k: v for k, v in lines}}))
-    else:
-        text = "".join(f"{k} = {_fmt(v) if v is not None else 'undefined'}\n" for k, v in lines)
-        _emit(args, text)
-    return 0
+        return _json_doc({"config": point | {"g": params.g, "gamma": params.gamma,
+                                              "omega": params.omega, "dt": dt},
+                          "values": dict(lines)})
+    return _report(lines)
 
 
 # ---------------------------------------------------------------- criterion
 
-def cmd_criterion(args) -> int:
+def cmd_criterion(args) -> str:
     params = ModelParams(args.omega, args.g, args.gamma)
     q = complex(args.qr, args.qi)
     rate = rate_xy_value(args.p, q, params.g, params.gamma)
@@ -362,25 +366,18 @@ def cmd_criterion(args) -> int:
                         ("rate", rate), ("R", r)):
         _check_finite(name, value)
     if args.format == "json":
-        _emit(args, _json_doc({
+        return _json_doc({
             "config": {"p": args.p, "qr": args.qr, "qi": args.qi,
                        "g": params.g, "gamma": params.gamma},
             "values": {"threshold": threshold, "g_over_gamma": reported_ratio,
                        "predicted_sign": predicted, "rate": rate,
                        "computed_sign": computed, "R": r, "note": note},
-        }))
-    else:
-        lines = [
-            f"threshold = {_fmt(threshold) if threshold is not None else 'undefined'}",
-            f"g/gamma = {_fmt(reported_ratio) if reported_ratio is not None else 'undefined'}",
-            f"predicted_sign = {predicted}",
-            f"rate = {_fmt(rate)}",
-            f"computed_sign = {computed}",
-        ]
-        if note:
-            lines.append(f"note = {note}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        })
+    lines = [("threshold", threshold), ("g/gamma", reported_ratio),
+             ("predicted_sign", predicted), ("rate", rate), ("computed_sign", computed)]
+    if note:
+        lines.append(("note", note))
+    return _report(lines)
 
 
 # ---------------------------------------------------------------- parser
@@ -458,10 +455,11 @@ def main(argv=None) -> int:
         # Overflow leaves a non-finite value that the commands report as an
         # EntrateError; numpy's warnings would print ahead of that message.
         with np.errstate(all="ignore"):
-            return args.func(args)
+            _emit(args, args.func(args))
     except EntrateError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -30,12 +30,14 @@ INPUT_PSD_FLOOR = 1e-3
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_SY, _SY).real  # sy x sy is a real signed permutation
 
-# eof_gradient's 16 Hermitian directions, one per independent element:
-# E_ij + E_ji for j >= i (Re rho_ij, the diagonal E_ii), then iE_ij - iE_ji
-# for j > i (Im rho_ij).  _PART, _ROW, _COL scatter a slope per direction
-# into (dE_dRe, dE_dIm).
-_ROW, _COL = np.hstack([np.triu_indices(4), np.triu_indices(4, 1)])
-_PART = np.repeat([0, 1], [10, 6])
+# The 16 independent elements of a 4x4 Hermitian matrix, in the one order
+# the package uses: (i, j) row-major with j >= i, the diagonal rho_ii as one
+# real element, an off-diagonal rho_ij as Re then Im.  _PART (0 Re, 1 Im),
+# _ROW and _COL index a (2, 4, 4) stack of real and imaginary parts.
+# eof_gradient's directions follow it: E_ij + E_ji for Re rho_ij (E_ii on
+# the diagonal), iE_ij - iE_ji for Im rho_ij.
+_PART, _ROW, _COL = np.array([(part, i, j) for i in range(4) for j in range(i, 4)
+                              for part in ((0,) if i == j else (0, 1))]).T
 _DIRECTIONS = np.zeros((16, 4, 4), dtype=complex)
 _DIRECTIONS[np.arange(16), _COL, _ROW] = np.where(_PART, -1j, 1.0)
 _DIRECTIONS[np.arange(16), _ROW, _COL] = np.where(_PART, 1j, 1.0)

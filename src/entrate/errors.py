@@ -32,7 +32,8 @@ class NumericalFailure(EntrateError):
 
 
 class ParseError(InvalidArgument):
-    """Malformed command-line state specification or matrix file."""
+    """Malformed command line: a bad state specification, option combination
+    or matrix file, or an output path that cannot be written."""
 
 
 class DomainError(InvalidArgument):

@@ -11,7 +11,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IncompleteChannelError, NonHermitianError, WeightError
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    IncompleteChannelError,
+    NonHermitianError,
+    WeightError,
+)
 from .lindblad import LindbladModel, Trajectory, integrate
 from .qstate import DensityMatrix, new_density
 
@@ -22,23 +28,28 @@ HERMITICITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Ordered collection of same-dimension Kraus operators."""
+    """Ordered Kraus operators, stored as one read-only (k, d, d) complex stack.
 
-    operators: Sequence[np.ndarray]
+    Any sequence of k same-shape square matrices is accepted.
+    """
+
+    operators: np.ndarray
 
     def __post_init__(self):
-        if len(self.operators) == 0:
-            raise DimensionMismatchError("channel needs at least one operator")
-        shape = np.asarray(self.operators[0]).shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise DimensionMismatchError(f"Kraus operators must be square, got {shape}")
-        for op in self.operators:
-            if np.asarray(op).shape != shape:
-                raise DimensionMismatchError("Kraus operators differ in shape")
+        try:
+            ops = np.array(self.operators, dtype=complex)
+        except ValueError as exc:  # a ragged sequence
+            raise DimensionMismatchError(f"Kraus operators differ in shape: {exc}") from exc
+        if ops.ndim != 3 or ops.shape[0] == 0 or ops.shape[1] != ops.shape[2]:
+            raise DimensionMismatchError(
+                f"channel needs at least one square Kraus operator, got shape {ops.shape}"
+            )
+        ops.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
-        return np.asarray(self.operators[0]).shape[0]
+        return self.operators.shape[1]
 
 
 @dataclass(frozen=True)
@@ -50,12 +61,9 @@ class EffectiveHamiltonian:
 
 def completeness_defect(channel: KrausChannel) -> float:
     """Max-norm of sum(K^dagger K) - identity."""
-    dim = channel.dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for op in channel.operators:
-        k = np.asarray(op, dtype=complex)
-        acc += k.conj().T @ k
-    return float(np.abs(acc - np.eye(dim)).max())
+    ops = channel.operators
+    total = (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
+    return float(np.abs(total - np.eye(channel.dim)).max())
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -67,23 +75,16 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     defect = completeness_defect(channel)
     if defect > COMPLETENESS_TOL:
         raise IncompleteChannelError(f"completeness defect {defect!r} exceeds {COMPLETENESS_TOL}")
-    out = np.zeros_like(rho.elements)
-    for op in channel.operators:
-        k = np.asarray(op, dtype=complex)
-        out = out + k @ rho.elements @ k.conj().T
-    return new_density(out)
+    ops = channel.operators
+    return new_density((ops @ rho.elements @ ops.conj().swapaxes(1, 2)).sum(axis=0))
 
 
 def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:
-    """Channel applying `first` then `second` (operators are all products)."""
+    """Channel applying `first` then `second`: every product K2 @ K1, K2 varying slowest."""
     if first.dim != second.dim:
         raise DimensionMismatchError("cannot compose channels of different dims")
-    ops = [
-        np.asarray(k2, dtype=complex) @ np.asarray(k1, dtype=complex)
-        for k2 in second.operators
-        for k1 in first.operators
-    ]
-    return KrausChannel(operators=tuple(ops))
+    products = second.operators[:, None] @ first.operators[None, :]
+    return KrausChannel(operators=products.reshape(-1, first.dim, first.dim))
 
 
 def amplitude_damping(eta: float) -> KrausChannel:
@@ -105,6 +106,8 @@ def build_effective_hamiltonian(
     missing pairs are zero.  `p` holds the environment weights p_nu.
     """
     p = list(p)
+    if not np.isfinite(p).all():
+        raise DomainError(f"environment weights must be finite, got {p}")
     if any(w < 0 for w in p):
         raise WeightError(f"environment weights must be nonnegative, got {p}")
     total = sum(p)

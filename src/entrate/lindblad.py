@@ -74,6 +74,8 @@ class LindbladModel:
 
     def __post_init__(self):
         h0 = np.asarray(self.h0, dtype=complex)
+        if not np.isfinite(h0).all():
+            raise DomainError("h0 must be finite")
         defect = np.abs(h0 - h0.conj().T).max()
         if defect > HERMITICITY_TOL:
             raise NonHermitianError(f"h0 Hermiticity defect {defect!r}")
@@ -81,8 +83,9 @@ class LindbladModel:
         for x_minus, k_rate, g_rate in self.channels:
             if np.asarray(x_minus).shape != (dim, dim):
                 raise DimensionMismatchError("channel operator dimension mismatch")
-            if k_rate < 0 or g_rate < 0:
-                raise DomainError("channel rates must be nonnegative")
+            if not (0 <= k_rate < np.inf and 0 <= g_rate < np.inf):  # NaN fails too
+                raise DomainError(f"channel rates must be nonnegative and finite, got "
+                                  f"{k_rate!r}, {g_rate!r}")
 
 
 @dataclass(frozen=True)

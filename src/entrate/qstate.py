@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     NonHermitianError,
     NotBellDiagonalError,
     NotPositiveError,
@@ -49,6 +50,8 @@ class WernerParams:
 
     def __post_init__(self):
         w = (self.a, self.b, self.c, self.d)
+        if not np.isfinite(w).all():
+            raise DomainError(f"Werner weights must be finite, got {w}")
         if min(w) < -TRACE_TOL:  # boundary weights built by subtraction round off
             raise WeightError(f"Werner weights must be nonnegative, got {w}")
         s = sum(w)
@@ -68,6 +71,8 @@ class XYFamilyParams:
     q: complex
 
     def __post_init__(self):
+        if not (np.isfinite(self.p) and np.isfinite(self.q)):
+            raise DomainError(f"XY family needs finite p and q, got {self.p!r}, {self.q!r}")
         r = float(xy_positivity(self.p, self.q))
         if r > FEASIBILITY_TOL:
             raise PositivityViolationError(
@@ -98,6 +103,8 @@ def new_density(elements: np.ndarray) -> DensityMatrix:
 
     Raises
     ------
+    DomainError
+        If any element is NaN or infinite.
     NonHermitianError
         If any element differs from the conjugate of its transpose partner
         by more than 1e-12.
@@ -109,6 +116,10 @@ def new_density(elements: np.ndarray) -> DensityMatrix:
     arr = np.array(elements, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
+
+    bad = np.count_nonzero(~np.isfinite(arr))
+    if bad:
+        raise DomainError(f"matrix is not finite in {bad} of {arr.size} elements")
 
     herm_defect = np.abs(arr - arr.conj().T).max()
     if herm_defect > HERMITICITY_TOL:

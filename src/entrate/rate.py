@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entanglement import eof, eof_gradient
+from .entanglement import _COL, _PART, _ROW, eof, eof_gradient
 from .errors import (
     DegenerateDirectionError,
     DomainError,
@@ -36,6 +36,9 @@ from .qstate import DensityMatrix, WernerParams, XYFamilyParams, unchecked_densi
 SEPARABLE_TOL = 1e-6
 XY_SEPARABLE_TOL = 1e-8
 LN2 = float(np.log(2.0))
+# rate_chain's term per independent element: rho_ii, Re rho_ij, Im rho_ij.
+_TERM_NAMES = tuple(f"{('Re ', 'Im ')[part] if row != col else ''}rho{row + 1}{col + 1}"
+                    for part, row, col in zip(_PART, _ROW, _COL))
 
 
 @dataclass(frozen=True)
@@ -67,22 +70,11 @@ def rate_chain(rho: DensityMatrix, rho_dot: np.ndarray) -> RateBreakdown:
     """
     grad = eof_gradient(rho)
     rho_dot = np.asarray(rho_dot, dtype=complex)
-    terms = []
-    total = 0.0
-    for i in range(4):
-        for j in range(i, 4):
-            if i == j:
-                de, dr = grad.dE_dRe[i, i], rho_dot[i, i].real
-                terms.append((f"rho{i + 1}{j + 1}", de, dr))
-                total += de * dr
-            else:
-                de, dr = grad.dE_dRe[i, j], rho_dot[i, j].real
-                terms.append((f"Re rho{i + 1}{j + 1}", de, dr))
-                total += de * dr
-                de, dr = grad.dE_dIm[i, j], rho_dot[i, j].imag
-                terms.append((f"Im rho{i + 1}{j + 1}", de, dr))
-                total += de * dr
-    return RateBreakdown(gamma_total=total, terms=tuple(terms))
+    slopes = np.stack([grad.dE_dRe, grad.dE_dIm])[_PART, _ROW, _COL]
+    rates = np.stack([rho_dot.real, rho_dot.imag])[_PART, _ROW, _COL]
+    # A running total in element order; np.sum would pair the terms up.
+    total = np.cumsum(slopes * rates)[-1]
+    return RateBreakdown(gamma_total=total, terms=tuple(zip(_TERM_NAMES, slopes, rates)))
 
 
 def _measure_slope(c):

@@ -269,6 +269,12 @@ class TestRateCommand:
         assert code == 2
         assert "error" in err
 
+    def test_both_families_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "rate", "--p", "0.6", "--qi", "0.3", "--a", "0.7")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: rate takes either")
+
 
 class TestCriterionCommand:
     def test_entangling_report(self, capsys):
@@ -354,15 +360,45 @@ XY_STATE = ("--", "xy", "0.6", "0", "0.3")
     (("criterion", "--p=0", "--qr=1.2711610061536462e+308", "--qi=1.2711610061536464e+308"), 2),
     (("fig3", "--p=1.3407807929942597e+154", "--grid=2", "--g=1.3407807929942597e+154"), 4),
     (("rate", "--p=0.0", "--qr=1.3407807929942597e+154"), 3),
+    (("fig1", "--out", "{tmp}"), 2),
+    (("fig1", "--out", "{tmp}/missing/fig1.csv"), 2),
+    (("evolve", "--t-end=0.05", "--dt=0", *XY_STATE), 2),
+    (("evolve", "--t-end=0.05", "--dt=-0.0", *XY_STATE), 2),
+    (("rate", "--p=0.6", "--qi=0.3", "--dt=0"), 2),
+    (("rate", "--p=0.6", "--qi=0.3", "--dt=-0.0"), 2),
+    (("evolve", "--t-end=0.02", "--", "matrix", "{tmp}/nan-pair.txt"), 2),
 ])
-def test_malformed_input_exits_with_message(capsys, argv, want):
+def test_malformed_input_exits_with_message(capsys, tmp_path, argv, want):
+    """{tmp} stands for a scratch directory holding nan-pair.txt, a 4x4
+    matrix file with a symmetric pair of NaNs."""
+    m = np.eye(4) / 4
+    m[0, 1] = m[1, 0] = np.nan
+    np.savetxt(tmp_path / "nan-pair.txt", m)
     try:
-        code = main(list(argv))
+        code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     except SystemExit as exc:
         code = exc.code
     err = capsys.readouterr().err
     assert code == want
     assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("fig1", "--grid", "5"),
+    ("fig2", "--grid", "4"),
+    ("fig3", "--grid", "5"),
+    ("evolve", "--t-end", "0.1", "--dt", "0.05", *XY_STATE),
+    ("rate", "--p", "0.6", "--qi", "0.3"),
+    ("criterion", "--p", "0.6", "--qi", "0.5"),
+], ids=lambda argv: argv[0])
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv, fmt):
+    command, *rest = argv  # options go ahead of evolve's "--"
+    code, out, err = run_cli(capsys, command, "--format", fmt, *rest)
+    assert code == 0
+    path = tmp_path / "out"
+    assert run_cli(capsys, command, "--format", fmt, "--out", str(path), *rest) == (0, "", err)
+    assert path.read_bytes() == out.encode()
 
 
 def _option_types(command):

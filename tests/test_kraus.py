@@ -16,6 +16,7 @@ from entrate import (
 )
 from entrate.errors import (
     DimensionMismatchError,
+    DomainError,
     IncompleteChannelError,
     NonHermitianError,
     WeightError,
@@ -29,6 +30,47 @@ def test_channel_needs_operators():
         KrausChannel(operators=())
     with pytest.raises(DimensionMismatchError):
         KrausChannel(operators=(np.eye(2), np.eye(3)))
+    with pytest.raises(DimensionMismatchError):
+        KrausChannel(operators=(np.ones((2, 3)),))
+    with pytest.raises(DimensionMismatchError):
+        KrausChannel(operators=(np.ones(2), np.ones(2)))
+
+
+def test_operators_are_a_read_only_stack():
+    ch = KrausChannel(operators=[[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    assert ch.operators.shape == (2, 2, 2)
+    assert ch.operators.dtype == complex
+    assert ch.dim == 2
+    with pytest.raises(ValueError):
+        ch.operators[0, 0, 0] = 2.0
+
+
+def random_channel(rng, k, dim):
+    """k random operators, scaled so that sum(K^dagger K) = identity."""
+    ops = rng.standard_normal((k, dim, dim)) + 1j * rng.standard_normal((k, dim, dim))
+    w, v = np.linalg.eigh(np.einsum("kji,kjl->il", ops.conj(), ops))
+    return ops @ (v / np.sqrt(w)) @ v.conj().T
+
+
+def test_compose_is_every_product_in_order():
+    rng = np.random.default_rng(4)
+    first, second = random_channel(rng, 2, 3), random_channel(rng, 3, 3)
+    composed = compose(KrausChannel(first), KrausChannel(second))
+    want = [k2 @ k1 for k2 in second for k1 in first]
+    np.testing.assert_array_equal(composed.operators, want)
+
+
+def test_apply_channel_equals_explicit_sum_bitwise():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        a, b = amplitude_damping(rng.uniform()).operators, random_channel(rng, 3, 2)
+        ops = [np.kron(x, y) for x in a for y in b]
+        rho = new_density(random_density_matrix(rng))
+        want = np.zeros((4, 4), dtype=complex)
+        for k in ops:
+            want = want + k @ rho.elements @ k.conj().T
+        got = apply_channel(KrausChannel(ops), rho).elements
+        assert got.tobytes() == want.tobytes()
 
 
 def test_identity_channel_defect_zero():
@@ -109,6 +151,10 @@ class TestEffectiveHamiltonian:
             build_effective_hamiltonian({(0, 0): np.eye(2)}, [-0.5, 1.5])
         with pytest.raises(WeightError):
             build_effective_hamiltonian({(0, 2): np.eye(2)}, [1.0])
+
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(DomainError):
+            build_effective_hamiltonian({(0, 0): np.eye(2)}, [np.nan])
 
 
 class TestEvolveEffective:

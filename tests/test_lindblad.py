@@ -50,6 +50,17 @@ def test_model_requires_hermitian_h0():
         LindbladModel(h0=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("h0,rates", [
+    (np.array([[np.nan, 0.0], [0.0, 0.0]]), (0.1, 0.0)),
+    (np.zeros((2, 2)), (np.nan, 0.0)),
+    (np.zeros((2, 2)), (0.1, np.nan)),
+    (np.zeros((2, 2)), (np.inf, 0.0)),
+], ids=["nan-h0", "nan-k", "nan-g", "inf-k"])
+def test_model_requires_finite_h0_and_rates(h0, rates):
+    with pytest.raises(DomainError):
+        LindbladModel(h0=h0, channels=((LOWER, *rates),))
+
+
 def test_generic_rhs_commuting_case_is_zero():
     model = LindbladModel(h0=np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
     rho = new_density(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))

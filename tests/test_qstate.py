@@ -16,6 +16,7 @@ from entrate import (
 )
 from entrate.errors import (
     DimensionMismatchError,
+    DomainError,
     NonHermitianError,
     NotBellDiagonalError,
     NotPositiveError,
@@ -26,6 +27,15 @@ from entrate.errors import (
 
 
 class TestNewDensity:
+    @pytest.mark.parametrize("cells", [[(0, 0)], [(0, 1), (1, 0)]], ids=["diagonal", "pair"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_elements_rejected(self, cells, bad):
+        m = np.eye(4, dtype=complex) / 4
+        for cell in cells:
+            m[cell] = bad
+        with pytest.raises(DomainError):
+            new_density(m)
+
     def test_maximally_mixed_is_valid(self):
         rho = new_density(np.eye(4) / 4)
         assert rho.dim == 4
@@ -70,6 +80,11 @@ class TestNewDensity:
 
 
 class TestWernerState:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(DomainError):
+            WernerParams(bad, 0.0, 0.0, 0.0)
+
     def test_pure_central_bell_state(self):
         # weights (1,0,0,0): central block (a+b)/2 = 1/2, off-diagonal (b-a)/2 = -1/2
         rho = werner_state(WernerParams(1.0, 0.0, 0.0, 0.0))
@@ -107,6 +122,12 @@ class TestWernerState:
 
 
 class TestXYState:
+    @pytest.mark.parametrize("p,q", [(np.nan, 0.1j), (0.5, complex(np.nan, 0.1)),
+                                     (0.5, complex(0.1, np.inf))])
+    def test_non_finite_parameters_rejected(self, p, q):
+        with pytest.raises(DomainError):
+            XYFamilyParams(p, q)
+
     def test_half_half_is_maximally_entangled_matrix(self):
         m = xy_state(XYFamilyParams(0.5, 0.5 + 0.0j)).elements
         assert m[1, 1] == m[2, 2] == 0.5

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import centered_trajectory, random_xy_interior
+from conftest import centered_trajectory, random_entangled_mixed, random_xy_interior
 from entrate import (
     ModelParams,
     WernerParams,
     XYFamilyParams,
     criterion_threshold,
     criterion_threshold_value,
+    eof_gradient,
     integrate,
     new_density,
     rate_chain,
@@ -74,6 +75,27 @@ class TestRateChain:
         params = ModelParams(1.0, 0.2, 0.01)
         rho = werner_state(WernerParams(0.7, 0.1, 0.1, 0.1))
         assert rate_chain(rho, rhs_damped_xy(params, rho)).gamma_total < 0
+
+    def test_terms_follow_the_element_order(self):
+        """Term names, values and the running total are those of a loop over
+        (i, j), j >= i, row-major: rho_ii, or Re then Im of rho_ij."""
+        params = ModelParams(1.0, 0.2, 0.03)
+        rho = new_density(random_entangled_mixed(np.random.default_rng(5)))
+        rho_dot = rhs_damped_xy(params, rho)
+        grad = eof_gradient(rho)
+        want, total = [], 0.0
+        for i in range(4):
+            for j in range(i, 4):
+                if i == j:
+                    want.append((f"rho{i + 1}{j + 1}", grad.dE_dRe[i, i], rho_dot[i, i].real))
+                else:
+                    want.append((f"Re rho{i + 1}{j + 1}", grad.dE_dRe[i, j], rho_dot[i, j].real))
+                    want.append((f"Im rho{i + 1}{j + 1}", grad.dE_dIm[i, j], rho_dot[i, j].imag))
+        for _, de, dr in want:
+            total += de * dr
+        out = rate_chain(rho, rho_dot)
+        assert list(out.terms) == want
+        assert out.gamma_total == total  # bitwise: the same sum in the same order
 
     def test_kink_region_propagates(self):
         rho = new_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
