@@ -111,17 +111,37 @@ def _emit(args, text: str) -> None:
         raise ParseError(f"cannot write output file: {exc}") from exc
 
 
-def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) if not isinstance(cell, str) else cell for cell in row)
-                 for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: Sequence[str], columns: Iterable[Sequence]) -> str:
+    """CSV of equal-length columns: a float or int cell is written `%.17g`
+    (as `_fmt`), None as an empty cell, a string as it is.
+
+    A column of floats and ints enters the `%` row template as `%.17g`; any
+    other column is first formatted into strings and enters it as `%s`.  The
+    template is applied row by row, so no tuple over all cells is built.
+    """
+    cols, specs = [], []
+    for col in columns:
+        kinds = set(map(type, col))
+        if kinds <= {float, int}:
+            specs.append("%.17g")
+        else:
+            specs.append("%s")
+            if not kinds <= {str}:
+                col = [cell if isinstance(cell, str) else _fmt(cell) for cell in col]
+        cols.append(col)
+    line = ",".join(specs) + "\n"
+    return ",".join(header) + "\n" + "".join(map(line.__mod__, zip(*cols)))
 
 
 def _grid_csv(header: Sequence[str], x: np.ndarray, y: np.ndarray, *values) -> str:
-    """Long-format CSV of a 2-D grid: one row per (x, y) cell, x varying slowest."""
-    cols = (np.repeat(x, len(y)), np.tile(y, len(x)), *(np.ravel(v) for v in values))
-    return _csv(header, zip(*(c.tolist() for c in cols)))
+    """Long-format CSV of a 2-D grid: one row per (x, y) cell, x varying slowest.
+
+    Each axis value is formatted once; its string repeats down the column.
+    """
+    xs = np.array([_fmt(v) for v in x.tolist()], dtype=object)
+    ys = [_fmt(v) for v in y.tolist()]
+    return _csv(header, (np.repeat(xs, len(ys)).tolist(), ys * len(xs),
+                         *(np.ravel(v).tolist() for v in values)))
 
 
 def _report(pairs: Iterable[tuple[str, object]]) -> str:
@@ -146,8 +166,41 @@ def _check_finite(name: str, values) -> None:
         raise NonFiniteError(f"{name} is not finite in {bad} of {arr.size} values")
 
 
+_JSON_SCALARS = {float, int, str, bool, type(None)}
+_json_scalar = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_value(obj, pad: str) -> str:
+    """`json.dumps(obj, indent=2, allow_nan=False)` for a value whose line
+    starts at `pad` (a newline and the indent).
+
+    With an indent, `json.dumps` formats every value in Python.  Here a
+    container whose values are all scalars (exact types) is one call of the C
+    encoder, whose item separator carries the newline and indent; only the
+    containers above it are joined in Python.
+    """
+    if isinstance(obj, dict):
+        values, close = obj.values(), "}"
+    elif isinstance(obj, (list, tuple)):
+        values, close = obj, "]"
+    else:
+        return _json_scalar(obj)
+    if not obj:
+        return "{}" if close == "}" else "[]"
+    inner = pad + "  "
+    if set(map(type, values)) <= _JSON_SCALARS:
+        body = json.JSONEncoder(allow_nan=False, separators=("," + inner, ": ")).encode(obj)
+        return body[0] + inner + body[1:-1] + pad + close
+    if close == "}":
+        items = (_json_scalar(k) + ": " + _json_value(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + close
+    return "[" + inner + ("," + inner).join(_json_value(v, inner) for v in obj) + pad + close
+
+
 def _json_doc(obj: dict) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """The document as `json.dumps(obj, indent=2, allow_nan=False)`, plus a
+    newline; every key of obj and of its dicts is a string."""
+    return _json_value(obj, "\n") + "\n"
 
 
 # ---------------------------------------------------------------- fig1
@@ -171,7 +224,7 @@ def cmd_fig1(args) -> str:
             "axes": {"a": a_grid.tolist()},
             "values": values.tolist(),
         })
-    return _csv(header, zip(a_grid.tolist(), values.tolist()))
+    return _csv(header, (a_grid.tolist(), values.tolist()))
 
 
 # ---------------------------------------------------------------- fig2
@@ -195,8 +248,9 @@ def cmd_fig2(args) -> str:
 
 # ---------------------------------------------------------------- fig3
 
-def cmd_fig3(args) -> str:
-    """XY-family rate over the (qR, qI) grid.
+def cmd_fig3(args) -> tuple[str, str]:
+    """XY-family rate over the (qR, qI) grid, and the argmax/argmin summary
+    for stderr.
 
     The closed form is evaluated on its whole domain 0 < |q| <= 1/2; the
     feasible flag records joint state positivity (R <= 1e-12) separately,
@@ -220,8 +274,7 @@ def cmd_fig3(args) -> str:
             i, j = np.unravel_index(pick(vals), vals.shape)
             extremes[key] = {"qr": qr_grid[i], "qi": qi_grid[j], "rate": vals[i, j]}
     summary = "".join(f"{key} " + " ".join(f"{k}={_fmt(v)}" for k, v in cell.items()) + "\n"
-                      for key, cell in extremes.items())
-    print(summary or "all cells masked\n", end="", file=sys.stderr)
+                      for key, cell in extremes.items()) or "all cells masked\n"
 
     rates = np.where(np.isnan(vals), None, vals)
     if args.format == "json":
@@ -232,8 +285,9 @@ def cmd_fig3(args) -> str:
             "R": r.tolist(),
             "argmax": extremes.get("argmax"),
             "argmin": extremes.get("argmin"),
-        })
-    return _grid_csv(header, qr_grid, qi_grid, r, np.where(r <= FEASIBILITY_TOL, "1", "0"), rates)
+        }), summary
+    return _grid_csv(header, qr_grid, qi_grid, r, np.where(r <= FEASIBILITY_TOL, "1", "0"),
+                     rates), summary
 
 
 # ---------------------------------------------------------------- evolve
@@ -296,12 +350,15 @@ def cmd_evolve(args) -> str:
             "axes": {"t": [float(t) for t in traj.times]},
             "values": {"columns": list(EVOLVE_HEADER[1:]), "rows": [row[1:] for row in rows]},
         })
-    return _csv(EVOLVE_HEADER, rows)
+    return _csv(EVOLVE_HEADER, zip(*rows))
 
 
 # ---------------------------------------------------------------- rate
 
 def _three_route_report(rho0, closed, params, dt) -> list[tuple[str, float]]:
+    if not math.isfinite(2 * dt):
+        raise ParseError(f"--dt {dt!r} is out of range: the numeric route integrates to "
+                         "2 * dt, which overflows")
     traj = integrate(damped_xy_model(params), rho0, 2 * dt, dt)
     lines = [("rate_closed_form", closed)]
     try:
@@ -450,15 +507,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  A command returns its document, or the document
+    and a summary, which goes to stderr once the document is written."""
     args = build_parser().parse_args(argv)
     try:
         # Overflow leaves a non-finite value that the commands report as an
         # EntrateError; numpy's warnings would print ahead of that message.
         with np.errstate(all="ignore"):
-            _emit(args, args.func(args))
+            result = args.func(args)
+        text, summary = (result, "") if isinstance(result, str) else result
+        _emit(args, text)
     except EntrateError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    sys.stderr.write(summary)
     return 0
 
 

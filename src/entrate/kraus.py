@@ -73,7 +73,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
             f"channel dim {channel.dim} does not match state dim {rho.dim}"
         )
     defect = completeness_defect(channel)
-    if defect > COMPLETENESS_TOL:
+    if not defect <= COMPLETENESS_TOL:  # a NaN defect fails too
         raise IncompleteChannelError(f"completeness defect {defect!r} exceeds {COMPLETENESS_TOL}")
     ops = channel.operators
     return new_density((ops @ rho.elements @ ops.conj().swapaxes(1, 2)).sum(axis=0))

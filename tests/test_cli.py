@@ -117,6 +117,14 @@ class TestFig3:
         assert doc["argmin"]["rate"] == pytest.approx(-0.014426950408889635)
         assert "argmax" in err and "argmin" in err
 
+    def test_unwritable_out_prints_no_summary(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "fig3", "--grid", "3",
+                                 "--out", str(tmp_path / "missing" / "x"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write output file")
+        assert "argmax" not in err and "argmin" not in err
+
     def test_mask_flag_exactly_matches_positivity(self, capsys):
         code, out, _ = run_cli(capsys, "fig3", "--grid", "31")
         _, rows = csv_rows(out)
@@ -274,6 +282,14 @@ class TestRateCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: rate takes either")
+
+
+    def test_dt_that_overflows_the_end_time_names_dt(self, capsys):
+        code, out, err = run_cli(capsys, "rate", "--p", "0.6", "--qi", "0.3", "--dt", "1e308")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --dt 1e+308")
+        assert "t_end" not in err
 
 
 class TestCriterionCommand:

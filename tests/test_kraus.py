@@ -105,6 +105,13 @@ def test_incomplete_channel_rejected():
         apply_channel(ch, EXCITED)
 
 
+def test_nan_operator_is_an_incomplete_channel():
+    """A NaN completeness defect is not within the tolerance."""
+    ch = KrausChannel(operators=(np.diag([1.0, np.nan]).astype(complex),))
+    with pytest.raises(IncompleteChannelError):
+        apply_channel(ch, EXCITED)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         apply_channel(amplitude_damping(0.1), new_density(np.eye(4) / 4))
