@@ -22,10 +22,10 @@ REALITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """The n^2 - 1 Hermitian traceless generators of SU(n)."""
+    """The n^2 - 1 Hermitian traceless generators of SU(n): a read-only (n^2 - 1, n, n) stack."""
 
     dim: int
-    generators: tuple[np.ndarray, ...]
+    generators: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -46,34 +46,25 @@ def gell_mann_basis(n: int) -> GeneratorBasis:
     """
     if n < 2:
         raise DomainError(f"generator basis needs n >= 2, got {n}")
-
-    gens = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            sym = np.zeros((n, n), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0
-            gens.append(sym)
-    for j in range(n):
-        for k in range(j + 1, n):
-            asym = np.zeros((n, n), dtype=complex)
-            asym[j, k] = -1.0j
-            asym[k, j] = 1.0j
-            gens.append(asym)
-    for l in range(1, n):
-        diag = np.zeros((n, n), dtype=complex)
-        for i in range(l):
-            diag[i, i] = 1.0
-        diag[l, l] = -l
-        gens.append(np.sqrt(2.0 / (l * (l + 1))) * diag)
-
-    for g in gens:
-        g.setflags(write=False)
-    return GeneratorBasis(dim=n, generators=tuple(gens))
+    j, k = np.triu_indices(n, 1)  # the pairs j < k, row-major
+    pair, level, i = np.arange(len(j)), np.arange(1, n), np.arange(n)
+    gens = np.zeros((n * n - 1, n, n), dtype=complex)
+    gens[pair, j, k] = gens[pair, k, j] = 1.0
+    gens[len(j) + pair, j, k], gens[len(j) + pair, k, j] = -1.0j, 1.0j
+    # Ladder level l: sqrt(2 / (l (l + 1))) diag(1, ..., 1, -l, 0, ..., 0), l ones.
+    ladder = np.where(i < level[:, None], 1.0, 0.0)
+    ladder[level - 1, level] = -level
+    gens[2 * len(j):, i, i] = ladder * np.sqrt(2.0 / (level * (level + 1)))[:, None]
+    gens.setflags(write=False)
+    return GeneratorBasis(dim=n, generators=gens)
 
 
+@functools.cache
 def _with_identity(n: int) -> np.ndarray:
-    """Stack (n^2, n, n): the identity, then the SU(n) generators."""
-    return np.array((np.eye(n), *gell_mann_basis(n).generators))
+    """Read-only stack (n^2, n, n): the identity, then the SU(n) generators."""
+    stack = np.concatenate((np.eye(n)[None], gell_mann_basis(n).generators))
+    stack.setflags(write=False)
+    return stack
 
 
 def _coefficients(mat: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

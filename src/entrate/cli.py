@@ -58,6 +58,7 @@ from .rate import (
     rate_werner,
     _rate_werner_many,
     _rate_xy_many,
+    _xy_margin,
     rate_xy,
     rate_xy_value,
 )
@@ -329,6 +330,8 @@ def _evolve_rows(traj: Trajectory) -> list[list]:
         t, mats.reshape(len(t), 16).view(float), np.trace(mats, axis1=1, axis2=2).real,
         np.linalg.eigvalsh(mats).min(axis=1), e, rate,
     ])
+    for name, column in zip(EVOLVE_HEADER, (*table.T[:-1], rate[1:-1])):  # blank ends skipped
+        _check_finite(name, column)
     rows = table.tolist()
     rows[0][-1] = rows[-1][-1] = None  # the central difference needs two neighbours
     return rows
@@ -372,7 +375,7 @@ def _three_route_report(rho0, closed, params, dt) -> list[tuple[str, float]]:
 
 def cmd_rate(args) -> str:
     params = ModelParams(args.omega, args.g, args.gamma)
-    dt = args.dt if args.dt is not None else 1e-3 / max(args.g, args.gamma, 1.0)
+    dt = args.dt if args.dt is not None else default_step(params) / 10
     if args.p is not None and args.a is not None:
         raise ParseError("rate takes either --p/--qr/--qi or --a/--cd, not both")
     if args.p is not None:
@@ -404,33 +407,28 @@ def cmd_criterion(args) -> str:
     q = complex(args.qr, args.qi)
     rate = rate_xy_value(args.p, q, params.g, params.gamma)
     r = xy_positivity(args.p, q)
-    ratio = params.g / params.gamma if params.gamma > 0 else float("inf")
-    reported_ratio = ratio if params.gamma > 0 else None  # undefined without damping
+    ratio = params.g / params.gamma if params.gamma > 0 else None  # undefined without damping
     note = None if r <= FEASIBILITY_TOL else f"point infeasible as a state: R = {_fmt(r)}"
     try:
         threshold = criterion_threshold_value(args.p, q)
-        if threshold > 0:
-            predicted = "+" if ratio > threshold else ("0" if ratio == threshold else "-")
-        else:
-            predicted = "-"
     except DegenerateDirectionError as exc:
         threshold = None
-        predicted = "-"
         note = str(exc) if note is None else f"{note}; {exc}"
 
-    computed = "+" if rate > 0 else ("0" if rate == 0 else "-")
-    for name, value in (("threshold", threshold), ("g/gamma", reported_ratio),
+    predicted, computed = ("+" if x > 0 else ("0" if x == 0 else "-")
+                           for x in (_xy_margin(args.p, q, params.g, params.gamma), rate))
+    for name, value in (("threshold", threshold), ("g/gamma", ratio),
                         ("rate", rate), ("R", r)):
         _check_finite(name, value)
     if args.format == "json":
         return _json_doc({
             "config": {"p": args.p, "qr": args.qr, "qi": args.qi,
                        "g": params.g, "gamma": params.gamma},
-            "values": {"threshold": threshold, "g_over_gamma": reported_ratio,
+            "values": {"threshold": threshold, "g_over_gamma": ratio,
                        "predicted_sign": predicted, "rate": rate,
                        "computed_sign": computed, "R": r, "note": note},
         })
-    lines = [("threshold", threshold), ("g/gamma", reported_ratio),
+    lines = [("threshold", threshold), ("g/gamma", ratio),
              ("predicted_sign", predicted), ("rate", rate), ("computed_sign", computed)]
     if note:
         lines.append(("note", note))

@@ -26,9 +26,8 @@ from .errors import (
     StepSizeTooLargeError,
     TraceNotOneError,
 )
-from .qstate import DensityMatrix, unchecked_density
+from .qstate import HERMITICITY_TOL, DensityMatrix, unchecked_density
 
-HERMITICITY_TOL = 1e-12
 STEP_DRIFT_TOL = 1e-6
 DRIFT_RATE_TOL = 1e-8
 TRAJECTORY_TRACE_TOL = 1e-8

@@ -14,8 +14,9 @@ dE/dc = c * atanh(u) / (u ln 2), approaching 1/ln 2 as c -> 1.  For the XY
 family the concurrence is G = 2|q| and stays exactly 2|q(t)| along the
 damped-XY flow, giving
     Gamma = [2 G atanh(u) / (u ln 2)] * (g qI (2p-1) - gamma |q|^2) / |q|
-with prefactor limit 2/ln2 at G = 1.  Gamma is positive exactly when
-g/gamma exceeds |q|^2 / (qI (2p-1)).
+with prefactor limit 2/ln2 at G = 1, so Gamma has the sign of g qI (2p-1) -
+gamma |q|^2 (`_xy_margin`), for g < 0 and gamma = 0 too.  Where qI (2p-1) > 0
+and gamma > 0, Gamma is positive exactly when g/gamma exceeds |q|^2 / (qI (2p-1)).
 """
 
 from dataclasses import dataclass
@@ -111,13 +112,18 @@ def _rate_werner_many(a, b, c, d, gamma) -> np.ndarray:
     return _measure_slope(f) * f_dot
 
 
+def _xy_margin(p, q, g, gamma):
+    """g qI (2p-1) - gamma |q|^2 elementwise: the XY-family rate has its sign."""
+    aq = np.hypot(np.real(q), np.imag(q))
+    return g * np.imag(q) * (2.0 * p - 1.0) - gamma * aq * aq
+
+
 def _rate_xy_many(p, q, g, gamma) -> np.ndarray:
     """rate_xy_value elementwise over arrays of p and q, NaN where it raises."""
     aq = np.hypot(np.real(q), np.imag(q))
     big_g = 2.0 * aq
-    bracket = g * np.imag(q) * (2.0 * p - 1.0) - gamma * aq * aq
     with np.errstate(divide="ignore", invalid="ignore"):
-        rate = 2.0 * _measure_slope(np.minimum(big_g, 1.0)) * bracket / aq
+        rate = 2.0 * _measure_slope(np.minimum(big_g, 1.0)) * _xy_margin(p, q, g, gamma) / aq
     return np.where((aq > XY_SEPARABLE_TOL) & (big_g <= 1.0 + 1e-12), rate, np.nan)
 
 
@@ -143,7 +149,8 @@ def rate_xy_value(p: float, q: complex, g: float, gamma: float) -> float:
 def rate_xy(x: XYFamilyParams, params: ModelParams) -> float:
     """Closed-form instantaneous rate for the XY family.
 
-    The sign always matches the sign of g qI (2p-1) - gamma |q|^2.
+    Its sign is that of g qI (2p-1) - gamma |q|^2, for g < 0 and gamma = 0 too;
+    it is positive iff g/gamma > criterion_threshold where qI (2p-1), gamma > 0.
     """
     return rate_xy_value(x.p, x.q, params.g, params.gamma)
 
@@ -163,5 +170,6 @@ def criterion_threshold_value(p: float, q: complex) -> float:
 
 
 def criterion_threshold(x: XYFamilyParams) -> float:
-    """Threshold |q|^2 / (qI (2p-1)): the rate is positive iff g/gamma exceeds it."""
+    """Threshold |q|^2 / (qI (2p-1)): for qI (2p-1), gamma > 0 the rate is positive
+    iff g/gamma exceeds it."""
     return criterion_threshold_value(x.p, x.q)

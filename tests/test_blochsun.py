@@ -16,7 +16,7 @@ from entrate import (
     recompose,
     rhs_damped_xy,
 )
-from entrate.blochsun import recompose_matrix
+from entrate.blochsun import _with_identity, recompose_matrix
 from entrate.errors import DimensionMismatchError, DomainError, NotPositiveError
 
 PAULI = (
@@ -47,6 +47,44 @@ class TestGeneratorBasis:
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
             gell_mann_basis(1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_generators_are_one_read_only_stack(self, n):
+        gens = gell_mann_basis(n).generators
+        assert isinstance(gens, np.ndarray)
+        assert gens.shape == (n * n - 1, n, n)
+        assert not gens.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stack_equals_the_per_pair_construction_bitwise(self, n):
+        want = []
+        for j in range(n):
+            for k in range(j + 1, n):
+                sym = np.zeros((n, n), dtype=complex)
+                sym[j, k] = sym[k, j] = 1.0
+                want.append(sym)
+        for j in range(n):
+            for k in range(j + 1, n):
+                asym = np.zeros((n, n), dtype=complex)
+                asym[j, k] = -1.0j
+                asym[k, j] = 1.0j
+                want.append(asym)
+        for l in range(1, n):
+            diag = np.zeros((n, n), dtype=complex)
+            for i in range(l):
+                diag[i, i] = 1.0
+            diag[l, l] = -l
+            want.append(np.sqrt(2.0 / (l * (l + 1))) * diag)
+        assert gell_mann_basis(n).generators.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_identity_stack_is_built_once_and_read_only(self, n):
+        stack = _with_identity(n)
+        assert _with_identity(n) is stack
+        assert not stack.flags.writeable
+        assert stack.shape == (n * n, n, n)
+        assert np.array_equal(stack[0], np.eye(n))
+        assert np.array_equal(stack[1:], gell_mann_basis(n).generators)
 
 
 class TestDecomposeRecompose:

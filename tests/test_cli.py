@@ -1,11 +1,12 @@
 import argparse
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import entrate.cli
@@ -252,14 +253,16 @@ class TestEvolve:
 
 class TestRateCommand:
     def test_xy_point_reports_three_routes(self, capsys):
-        code, out, _ = run_cli(capsys, "rate", "--p", "0.6", "--qi", "0.3",
-                               "--g", "0.2", "--gamma", "0.01", "--format", "json")
-        assert code == 0
-        doc = json.loads(out)
-        vals = doc["values"]
-        assert vals["rate_closed_form"] == pytest.approx(0.08796541879002416)
-        assert vals["rate_chain"] == pytest.approx(vals["rate_closed_form"], rel=1e-3)
-        assert vals["rate_numeric_at_dt"] == pytest.approx(vals["rate_closed_form"], rel=1e-2)
+        # A strong negative coupling checks that the default --dt resolves |g|.
+        for g, closed in (("0.2", 0.08796541879002416), ("-300", -142.65375739615732)):
+            code, out, _ = run_cli(capsys, "rate", "--p", "0.6", "--qi", "0.3",
+                                   f"--g={g}", "--gamma", "0.01", "--format", "json")
+            assert code == 0
+            vals = json.loads(out)["values"]
+            assert vals["rate_closed_form"] == pytest.approx(closed)
+            assert vals["rate_chain"] == pytest.approx(vals["rate_closed_form"], rel=1e-3)
+            assert vals["rate_numeric_at_dt"] == pytest.approx(vals["rate_closed_form"],
+                                                               rel=1e-2)
 
     def test_werner_point(self, capsys):
         code, out, _ = run_cli(capsys, "rate", "--a", "0.7", "--cd", "0.2",
@@ -339,6 +342,43 @@ class TestCriterionCommand:
         assert "g/gamma = undefined" in out
 
 
+def _zero_or(lo, hi):
+    """0.0, or a float of either sign with magnitude in [lo, hi]."""
+    return st.just(0.0) | st.floats(lo, hi) | st.floats(-hi, -lo)
+
+
+@st.composite
+def _xy_points(draw):
+    """A feasible XY point (p, qr, qi) with qr, qi each 0 or at least 1e-3 in size, not both 0."""
+    p = draw(st.floats(0.01, 0.99))
+    bound = float(np.sqrt(p * (1.0 - p) / 2.0))
+    qr, qi = draw(_zero_or(1e-3, bound)), draw(_zero_or(1e-3, bound))
+    assume(qr or qi)
+    return p, qr, qi
+
+
+# Each nonzero term of g qI (2p-1) - gamma |q|^2 is then above 1e-22, so neither
+# the margin nor the rate underflows to 0 unless the other does.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(point=_xy_points(), g=_zero_or(1e-3, 5.0), gamma=st.just(0.0) | st.floats(1e-3, 1.0),
+       fmt=st.sampled_from(["csv", "json"]))
+@example(point=(0.4, 0.0, 0.3), g=-0.2, gamma=0.01, fmt="csv")
+@example(point=(0.5, 0.0, 0.3), g=0.2, gamma=0.0, fmt="csv")
+@example(point=(0.6, 0.0, 0.3), g=0.0, gamma=0.0, fmt="json")
+def test_criterion_predicts_the_computed_sign(point, g, gamma, fmt):
+    argv = ["criterion", "--format", fmt, *(f"--{k}={v!r}" for k, v in
+                                             zip(("p", "qr", "qi", "g", "gamma"),
+                                                 (*point, g, gamma)))]
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0, argv
+    if fmt == "json":
+        vals = json.loads(out.getvalue())["values"]
+    else:
+        vals = dict(line.split(" = ", 1) for line in out.getvalue().splitlines())
+    assert vals["predicted_sign"] == vals["computed_sign"], argv
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -346,6 +386,9 @@ def test_unknown_command_exits_2(capsys):
 
 
 XY_STATE = ("--", "xy", "0.6", "0", "0.3")
+# A finite trajectory whose central difference overflows.
+EVOLVE_OVERFLOW = ("--g", "1.2e308", "--gamma", "0", "--dt", "1e-310", "--t-end", "3e-310",
+                   "--", "xy", "0.9", "0", "0.3")
 
 
 @pytest.mark.parametrize("argv,want", [
@@ -383,6 +426,8 @@ XY_STATE = ("--", "xy", "0.6", "0", "0.3")
     (("rate", "--p=0.6", "--qi=0.3", "--dt=0"), 2),
     (("rate", "--p=0.6", "--qi=0.3", "--dt=-0.0"), 2),
     (("evolve", "--t-end=0.02", "--", "matrix", "{tmp}/nan-pair.txt"), 2),
+    (("evolve", *EVOLVE_OVERFLOW), 4),
+    (("evolve", "--format", "json", *EVOLVE_OVERFLOW), 4),
 ])
 def test_malformed_input_exits_with_message(capsys, tmp_path, argv, want):
     """{tmp} stands for a scratch directory holding nan-pair.txt, a 4x4
@@ -423,26 +468,52 @@ def _option_types(command):
     return {a.option_strings[0]: a.type for a in sub.choices[command]._actions if a.option_strings}
 
 
-@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "evolve", "rate", "criterion"])
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_fuzzed_floats_end_in_a_documented_exit(command, data):
-    """Any float (huge, tiny, +-0, subnormal, nan, inf) in any float option,
-    and in the evolve state spec, ends in exit 0/2/3/4; JSON output parses."""
-    fmt = data.draw(st.sampled_from(["csv", "json"]), label="format")
-    argv = [command, "--format", fmt]
+@st.composite
+def _fuzzed_argv(draw, command):
+    """Any float (huge, tiny, +-0, subnormal, nan, inf) in any float option of
+    command, and in the evolve state spec."""
+    argv = [command, "--format=" + draw(st.sampled_from(["csv", "json"]), label="format")]
     for option, kind in _option_types(command).items():
         if kind is _finite_float:
-            value = data.draw(st.none() | st.floats(), label=option)
+            value = draw(st.none() | st.floats(), label=option)
             if value is not None:
                 argv.append(f"{option}={value!r}")
         elif kind is int:
-            argv.append(f"{option}={data.draw(st.integers(-1, 6), label=option)}")
+            argv.append(f"{option}={draw(st.integers(-1, 6), label=option)}")
     if command == "evolve":
-        family, size = data.draw(st.sampled_from([("xy", 3), ("werner", 4)]), label="state")
-        values = data.draw(st.lists(st.floats(), min_size=size, max_size=size), label="values")
+        family, size = draw(st.sampled_from([("xy", 3), ("werner", 4)]), label="state")
+        values = draw(st.lists(st.floats(), min_size=size, max_size=size), label="values")
         argv += ["--", family, *map(repr, values)]
+    return argv
 
+
+class _Drawn:
+    """Stands in for st.data() in an @example: every draw returns `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy, label=None):
+        return self.value
+
+
+def _parses_non_finite(cell: str) -> bool:
+    try:
+        return not math.isfinite(float(cell))
+    except ValueError:  # text, such as an empty cell, `undefined` or `infeasible`
+        return False
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "evolve", "rate", "criterion"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+@example(data=_Drawn(["evolve", "--format=csv", *EVOLVE_OVERFLOW]))
+@example(data=_Drawn(["evolve", "--format=json", *EVOLVE_OVERFLOW]))
+def test_fuzzed_floats_end_in_a_documented_exit(command, data):
+    """Any float in any float option ends in exit 0/2/3/4.  On exit 0, JSON
+    output parses, and no CSV cell or report value is nan or +-inf."""
+    argv = data.draw(_fuzzed_argv(command), label="argv")
+    assume(argv[0] == command)  # an @example's argv runs under its own command only
     out, err = StringIO(), StringIO()
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
         mp.setattr(entrate.cli, "MAX_VALUES", 20_000)  # keeps every example small and fast
@@ -453,5 +524,9 @@ def test_fuzzed_floats_end_in_a_documented_exit(command, data):
     assert code in (0, 2, 3, 4), argv
     if code:
         assert err.getvalue().strip() and "Traceback" not in err.getvalue(), argv
-    elif fmt == "json":
+    elif "--format=json" in argv:
         json.loads(out.getvalue())
+    else:
+        cells = [cell for line in out.getvalue().splitlines()
+                 for cell in (line.split(" = ", 1)[1:] if " = " in line else line.split(","))]
+        assert not any(map(_parses_non_finite, cells)), argv
