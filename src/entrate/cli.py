@@ -17,6 +17,7 @@ NumericalFailure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -118,7 +119,8 @@ def _csv(header: Sequence[str], columns: Iterable[Sequence]) -> str:
 
     A column of floats and ints enters the `%` row template as `%.17g`; any
     other column is first formatted into strings and enters it as `%s`.  The
-    template is applied row by row, so no tuple over all cells is built.
+    template is applied row by row, so no tuple over all cells is built.  In a
+    column of floats, ints and None, the numbers are formatted by one `%` call.
     """
     cols, specs = [], []
     for col in columns:
@@ -127,7 +129,14 @@ def _csv(header: Sequence[str], columns: Iterable[Sequence]) -> str:
             specs.append("%.17g")
         else:
             specs.append("%s")
-            if not kinds <= {str}:
+            if kinds <= {float, int, type(None)}:
+                cells = np.array(col, dtype=object)
+                filled = cells != None  # noqa: E711  elementwise over the object array
+                nums = tuple(cells[filled])
+                cells[:] = ""
+                cells[filled] = ("%.17g\0" * len(nums) % nums).split("\0")[:-1]
+                col = cells.tolist()
+            elif not kinds <= {str}:
                 col = [cell if isinstance(cell, str) else _fmt(cell) for cell in col]
         cols.append(col)
     line = ",".join(specs) + "\n"
@@ -464,18 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cd", type=_finite_float, default=0.1, help="c + d, split evenly")
     p.add_argument("--grid", type=int, default=CURVE_POINTS, help="number of points")
     _add_common(p)
-    p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("fig2", help="positivity indicator R over (p, |q|)")
     p.add_argument("--grid", type=int, default=GRID_POINTS, help="points per axis")
     _add_common(p)
-    p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("fig3", help="XY-family rate over (qR, qI)")
     p.add_argument("--p", type=_finite_float, default=0.6)
     p.add_argument("--grid", type=int, default=GRID_POINTS, help="points per axis")
     _add_common(p)
-    p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("evolve", help="integrate and dump a trajectory")
     p.add_argument("state", nargs="+",
@@ -483,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=_finite_float, default=10.0)
     p.add_argument("--dt", type=_finite_float, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("rate", help="one-point rate by all applicable routes")
     p.add_argument("--p", type=_finite_float, default=None)
@@ -493,26 +498,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cd", type=_finite_float, default=0.1)
     p.add_argument("--dt", type=_finite_float, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("criterion", help="entangling-vs-decohering report")
     p.add_argument("--p", type=_finite_float, required=True)
     p.add_argument("--qr", type=_finite_float, default=0.0)
     p.add_argument("--qi", type=_finite_float, default=0.0)
     _add_common(p)
-    p.set_defaults(func=cmd_criterion)
     return ap
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on the first call, shared by every later one."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     """Run one subcommand.  A command returns its document, or the document
     and a summary, which goes to stderr once the document is written."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = {"fig1": cmd_fig1, "fig2": cmd_fig2, "fig3": cmd_fig3, "evolve": cmd_evolve,
+               "rate": cmd_rate, "criterion": cmd_criterion}[args.command]
     try:
         # Overflow leaves a non-finite value that the commands report as an
         # EntrateError; numpy's warnings would print ahead of that message.
         with np.errstate(all="ignore"):
-            result = args.func(args)
+            result = command(args)
         text, summary = (result, "") if isinstance(result, str) else result
         _emit(args, text)
     except EntrateError as exc:

@@ -112,9 +112,13 @@ def _rate_werner_many(a, b, c, d, gamma) -> np.ndarray:
     return _measure_slope(f) * f_dot
 
 
-def _xy_margin(p, q, g, gamma):
-    """g qI (2p-1) - gamma |q|^2 elementwise: the XY-family rate has its sign."""
-    aq = np.hypot(np.real(q), np.imag(q))
+def _xy_margin(p, q, g, gamma, aq=None):
+    """g qI (2p-1) - gamma |q|^2 elementwise: the XY-family rate has its sign.
+
+    aq is |q| as np.hypot gives it, taken here when the caller passes None.
+    """
+    if aq is None:
+        aq = np.hypot(np.real(q), np.imag(q))
     return g * np.imag(q) * (2.0 * p - 1.0) - gamma * aq * aq
 
 
@@ -123,7 +127,7 @@ def _rate_xy_many(p, q, g, gamma) -> np.ndarray:
     aq = np.hypot(np.real(q), np.imag(q))
     big_g = 2.0 * aq
     with np.errstate(divide="ignore", invalid="ignore"):
-        rate = 2.0 * _measure_slope(np.minimum(big_g, 1.0)) * _xy_margin(p, q, g, gamma) / aq
+        rate = 2.0 * _measure_slope(np.minimum(big_g, 1.0)) * _xy_margin(p, q, g, gamma, aq) / aq
     return np.where((aq > XY_SEPARABLE_TOL) & (big_g <= 1.0 + 1e-12), rate, np.nan)
 
 

@@ -16,7 +16,11 @@ from entrate.errors import DomainError, SeparableRegionError
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one main call, argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -460,6 +464,47 @@ def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv, fmt):
     path = tmp_path / "out"
     assert run_cli(capsys, command, "--format", fmt, "--out", str(path), *rest) == (0, "", err)
     assert path.read_bytes() == out.encode()
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    assert run_cli(capsys, "criterion", "--p=0.6", "--qi=0.3")[0] == 0
+
+    def refuse():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(entrate.cli, "build_parser", refuse)
+    assert run_cli(capsys, "criterion", "--p=0.6", "--qi=0.3")[0] == 0
+
+
+def test_main_looks_the_command_up_at_call_time(capsys, monkeypatch):
+    assert run_cli(capsys, "criterion", "--p=0.6", "--qi=0.3")[0] == 0  # the parser exists
+    seen = []
+    monkeypatch.setattr(entrate.cli, "cmd_rate", lambda args: seen.append(args.p) or "stub\n")
+    assert run_cli(capsys, "rate", "--p", "0.6") == (0, "stub\n", "")
+    assert seen == [0.6]
+
+
+SHARED_PARSER_ARGV = [
+    ("rate", "--p"),
+    ("--help",),
+    ("criterion", "--qi=0.3"),
+    ("evolve", "--t-end", "0.02", "--dt", "0.01", "--", "xy", "0.6", "0", "0.3"),
+    ("rate", "--p", "0.6", "--qi", "0.3", "--dt", "0.002", "--format", "json"),
+    ("rate", "--p", "0.6", "--qi", "0.3", "--format", "json"),
+    ("criterion", "--p=0.6", "--qi=0.3", "--format", "json"),
+    ("fig1", "--grid", "3", "--cd", "0.2"),
+    ("fig1", "--grid", "3"),
+]
+
+
+def test_argv_outcome_does_not_depend_on_earlier_calls(capsys):
+    """Every argv gives one outcome wherever it runs in a sequence of calls."""
+    forward = [run_cli(capsys, *argv) for argv in SHARED_PARSER_ARGV]
+    backward = [run_cli(capsys, *argv) for argv in reversed(SHARED_PARSER_ARGV)]
+    assert forward == backward[::-1]
+    assert [code for code, _, _ in forward] == [2, 0, 2, 0, 0, 0, 0, 0, 0]
+    assert json.loads(forward[4][1])["config"]["dt"] == 0.002
+    assert json.loads(forward[5][1])["config"]["dt"] == 0.001  # the default again
 
 
 def _option_types(command):

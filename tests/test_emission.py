@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrate.cli import _csv, _grid_csv, _json_doc
@@ -107,6 +107,7 @@ def tables(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(tables())
+@example((["c0", "c1"], [[0.5, None, math.nan, -0.0, None], [1, None, 2.5, math.nan, 3]]))
 def test_csv_equals_the_per_cell_writer(table):
     header, columns = table
     assert _csv(header, columns) == _reference_csv(header, zip(*columns))
