@@ -37,7 +37,6 @@ from .errors import (
 from .lindblad import (
     ModelParams,
     Trajectory,
-    damped_xy_model,
     default_step,
     integrate,
     rhs_damped_xy,
@@ -180,6 +179,12 @@ _JSON_SCALARS = {float, int, str, bool, type(None)}
 _json_scalar = json.JSONEncoder(allow_nan=False).encode
 
 
+@functools.cache
+def _json_leaf(inner: str):
+    """The encoder of a container of scalars whose items start at `inner`."""
+    return json.JSONEncoder(allow_nan=False, separators=("," + inner, ": ")).encode
+
+
 def _json_value(obj, pad: str) -> str:
     """`json.dumps(obj, indent=2, allow_nan=False)` for a value whose line
     starts at `pad` (a newline and the indent).
@@ -199,7 +204,7 @@ def _json_value(obj, pad: str) -> str:
         return "{}" if close == "}" else "[]"
     inner = pad + "  "
     if set(map(type, values)) <= _JSON_SCALARS:
-        body = json.JSONEncoder(allow_nan=False, separators=("," + inner, ": ")).encode(obj)
+        body = _json_leaf(inner)(obj)
         return body[0] + inner + body[1:-1] + pad + close
     if close == "}":
         items = (_json_scalar(k) + ": " + _json_value(v, inner) for k, v in obj.items())
@@ -353,7 +358,7 @@ def cmd_evolve(args) -> str:
     # A negative t_end, or a step that is not positive, is left to integrate's DomainError.
     if dt > 0:
         _check_size("evolve", max(args.t_end, 0.0) / dt + 1, len(EVOLVE_HEADER))
-    traj = integrate(damped_xy_model(params), rho0, args.t_end, dt)
+    traj = integrate(params, rho0, args.t_end, dt)
     rows = _evolve_rows(traj)
     if args.format == "json":
         return _json_doc({
@@ -371,7 +376,7 @@ def _three_route_report(rho0, closed, params, dt) -> list[tuple[str, float]]:
     if not math.isfinite(2 * dt):
         raise ParseError(f"--dt {dt!r} is out of range: the numeric route integrates to "
                          "2 * dt, which overflows")
-    traj = integrate(damped_xy_model(params), rho0, 2 * dt, dt)
+    traj = integrate(params, rho0, 2 * dt, dt)
     lines = [("rate_closed_form", closed)]
     try:
         chain = rate_chain(rho0, rhs_damped_xy(params, rho0)).gamma_total

@@ -3,9 +3,9 @@
 The concurrence of a two-qubit state is
     c = max(0, l1 - l2 - l3 - l4),
 with l_i the decreasingly sorted square roots of the eigenvalues of
-rho * rho_tilde and rho_tilde = (sy x sy) conj(rho) (sy x sy).
-The entanglement of formation is E = h((1 + sqrt(1 - c^2)) / 2) with h
-the binary entropy.
+rho * rho_tilde and rho_tilde = (sy x sy) conj(rho) (sy x sy) (Wootters,
+PRL 80, 2245 (1998)).  The entanglement of formation is
+E = h((1 + sqrt(1 - c^2)) / 2) with h the binary entropy.
 """
 
 from dataclasses import dataclass
@@ -21,11 +21,12 @@ from .errors import (
 from .qstate import DensityMatrix, WernerParams
 
 KINK_TOL = 1e-6
-GRADIENT_STEP = 1e-6
-# Raw-path inputs may carry finite-difference perturbations or short
-# backward-extrapolation residue (about gamma * dt); anything more negative
-# than this is a genuinely bad matrix.
+# eof_gradient treats a lambda at or below this as zero (see its docstring).
+ZERO_LAMBDA_TOL = 1e-9
+# Raw-path inputs may carry short backward-extrapolation residue (about
+# gamma * dt); anything more negative than this is a genuinely bad matrix.
 INPUT_PSD_FLOOR = 1e-3
+LN2 = float(np.log(2.0))
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_SY, _SY).real  # sy x sy is a real signed permutation
@@ -42,6 +43,11 @@ _DIRECTIONS = np.zeros((16, 4, 4), dtype=complex)
 _DIRECTIONS[np.arange(16), _COL, _ROW] = np.where(_PART, -1j, 1.0)
 _DIRECTIONS[np.arange(16), _ROW, _COL] = np.where(_PART, 1j, 1.0)
 _DIRECTIONS.setflags(write=False)
+_DIRECTIONS_TILDE = _SYY @ _DIRECTIONS.conj() @ _SYY
+_DIRECTIONS_TILDE.setflags(write=False)
+_CONCURRENCE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+# The upper-triangle elements an X-state has zero: rho_12, rho_13, rho_24, rho_34.
+_OFF_X = ([0, 0, 1, 2], [1, 2, 3, 3])
 
 
 @dataclass(frozen=True)
@@ -137,30 +143,62 @@ def eof(rho: DensityMatrix) -> float:
     return float(eof_many(rho.elements))
 
 
-def eof_gradient(rho: DensityMatrix) -> MeasureGradient:
-    """Central-difference gradient of eof over the independent elements.
+def _measure_slope(c):
+    """dE/dc = c atanh(u)/(u ln2), u = sqrt(1-c^2), elementwise; 1/ln2 at c=1."""
+    u = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = c * np.arctanh(u) / (u * LN2)
+    return np.where(u == 0.0, c / LN2, slope)
 
-    Each independent element rho_ij (j >= i) is perturbed by +-h with its
-    Hermitian partner rho_ji following along; no trace constraint is
-    enforced.  Step h = 1e-6.
+
+def eof_gradient(rho: DensityMatrix) -> MeasureGradient:
+    """Exact gradient of eof over the independent elements.
+
+    Each independent element rho_ij (j >= i) moves with its Hermitian
+    partner rho_ji following along; no trace constraint is enforced.  With
+    R = rho rho_tilde = X diag(mu) X^-1 from one eigendecomposition, a
+    direction D moves R by dR = D rho_tilde + rho D_tilde, and to first
+    order dmu_i = (X^-1 dR X)_ii (Magnus, Econometric Theory 1, 179 (1985)).
+    Then dl_i = dmu_i / (2 l_i), dc = dl_1 - dl_2 - dl_3 - dl_4 and
+    dE = dE/dc dc.  Over a cluster of equal l_i only the sum of the dmu_i
+    enters, and it does not depend on the basis eig picks.
+
+    A lambda at or below ZERO_LAMBDA_TOL has no first-order derivative.  On
+    an X-state (rho_12, rho_13, rho_24, rho_34 exactly zero) it contributes
+    0, as it does to a symmetric difference quotient; this misses a zero
+    lambda that grows linearly, as at 0.8|00> + 0.6|11> under damping.  On
+    any other state E has a one-sided kink there, and KinkRegionError is
+    raised.
 
     Raises KinkRegionError when c <= 1e-6: the concurrence has a kink at
     c = 0 and one-sided derivatives there are direction-dependent.
-    Accuracy also degrades within ~h of the opposite boundary c = 1,
-    where perturbations leave the state space and the measure saturates.
     """
     if rho.dim != 4:
         raise DimensionMismatchError(f"eof gradient needs dim 4, got {rho.dim}")
-    c = float(_concurrence_raw(rho.elements)[0])
+    mat = rho.elements
+    c, lam = _concurrence_raw(mat)
     if c <= KINK_TOL:
         raise KinkRegionError(
-            f"concurrence {c!r} is within {KINK_TOL} of the c = 0 kink"
+            f"concurrence {float(c)!r} is within {KINK_TOL} of the c = 0 kink"
+        )
+    zero = lam <= ZERO_LAMBDA_TOL
+    if zero.any() and mat[_OFF_X].any():
+        raise KinkRegionError(
+            f"lambda {float(lam[-1])!r} of a state outside the X form is within "
+            f"{ZERO_LAMBDA_TOL} of 0, where the measure has a one-sided kink"
         )
 
-    step = GRADIENT_STEP * _DIRECTIONS
-    e = eof_many(np.concatenate([rho.elements + step, rho.elements - step]))
+    tilde = spin_flip(rho)
+    try:
+        mu, x = np.linalg.eig(mat @ tilde)
+        x = x[:, np.argsort(-mu.real)]  # the order of lam, which decreases
+        x_inv = np.linalg.inv(x)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailureError(f"eigendecomposition of rho rho_tilde failed: {exc}") from exc
+    d_mu = np.einsum("kil,li->ki", x_inv @ (_DIRECTIONS @ tilde + mat @ _DIRECTIONS_TILDE), x)
+    d_lam = np.where(zero, 0.0, d_mu.real / (2.0 * np.where(zero, 1.0, lam)))
     grad = np.zeros((2, 4, 4))
-    grad[_PART, _ROW, _COL] = (e[:16] - e[16:]) / (2 * GRADIENT_STEP)
+    grad[_PART, _ROW, _COL] = _measure_slope(c) * (d_lam @ _CONCURRENCE_SIGNS)
     grad.setflags(write=False)
     return MeasureGradient(dE_dRe=grad[0], dE_dIm=grad[1])
 

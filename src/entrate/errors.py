@@ -97,7 +97,8 @@ class NonFiniteError(NumericalFailure):
 
 
 class KinkRegionError(NumericalFailure):
-    """Entanglement gradient requested at the non-differentiable c = 0 kink."""
+    """Entanglement gradient requested at a kink of the measure: c = 0, or a zero
+    lambda of a state outside the X form."""
 
 
 class StepSizeTooLargeError(NumericalFailure):

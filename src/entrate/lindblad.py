@@ -176,6 +176,20 @@ def damped_xy_model(params: ModelParams) -> LindbladModel:
     return LindbladModel(h0=xy_hamiltonian(params.omega, params.g), channels=channels)
 
 
+# The damped XY generator is linear in its parameters: liouvillian of
+# damped_xy_model(ModelParams(omega, g, gamma)) is omega L_omega + g L_g +
+# gamma L_gamma, each term the generator at one unit parameter.
+_XY_GENERATORS = np.stack([liouvillian(damped_xy_model(ModelParams(*unit)))
+                           for unit in np.eye(3)])
+_XY_GENERATORS.setflags(write=False)
+
+
+def _damped_xy_generator(params: ModelParams) -> np.ndarray:
+    """liouvillian(damped_xy_model(params)), from the three unit generators."""
+    l_omega, l_g, l_gamma = _XY_GENERATORS
+    return params.omega * l_omega + params.g * l_g + params.gamma * l_gamma
+
+
 def rhs_damped_xy(params: ModelParams, rho: DensityMatrix) -> np.ndarray:
     """Closed-form element equations of the damped XY model.
 
@@ -217,17 +231,18 @@ def default_step(params: ModelParams) -> float:
 
 
 def integrate(
-    rhs: LindbladModel | Callable[[DensityMatrix], np.ndarray],
+    rhs: ModelParams | LindbladModel | Callable[[DensityMatrix], np.ndarray],
     rho0: DensityMatrix,
     t_end: float,
     dt: float,
 ) -> Trajectory:
     """Evolve rho0 from t = 0 to t_end in steps of dt, sampling every step.
 
-    The last step is shortened to land on t_end.  A LindbladModel is
-    propagated exactly: each step applies exp(L step), one exponential per
-    distinct step length; NonFiniteError is raised when L step overflows,
-    DimensionMismatchError when rho0's shape differs from h0's.
+    The last step is shortened to land on t_end.  A LindbladModel, or
+    ModelParams standing for the damped XY model, is propagated exactly: each
+    step applies exp(L step), one exponential per distinct step length;
+    NonFiniteError is raised when L step overflows, DimensionMismatchError
+    when rho0's shape differs from the model's.
 
     A callable rhs is stepped by classic fourth-order Runge-Kutta.  Each
     stored state is re-Hermitized ((rho + rho^dagger)/2) and
@@ -239,9 +254,15 @@ def integrate(
         raise DomainError(f"step size must be positive and finite, got {dt!r}")
     if not (np.isfinite(t_end) and t_end >= 0):
         raise DomainError(f"t_end must be nonnegative and finite, got {t_end!r}")
-    if isinstance(rhs, LindbladModel) and rho0.elements.shape != rhs.h0.shape:
+    if isinstance(rhs, ModelParams):
+        gen, h0_shape = _damped_xy_generator(rhs), (4, 4)
+    elif isinstance(rhs, LindbladModel):
+        gen, h0_shape = liouvillian(rhs), rhs.h0.shape
+    else:
+        gen, h0_shape = None, rho0.elements.shape
+    if rho0.elements.shape != h0_shape:
         raise DimensionMismatchError(
-            f"state shape {rho0.elements.shape} does not match h0 shape {rhs.h0.shape}"
+            f"state shape {rho0.elements.shape} does not match h0 shape {h0_shape}"
         )
 
     times, steps = [0.0], []
@@ -252,16 +273,16 @@ def integrate(
         times.append(t)
         steps.append(step)
 
-    if isinstance(rhs, LindbladModel):
-        elements = _propagate(rhs, rho0.elements, steps)
-    else:
+    if gen is None:
         elements = _rk4(rhs, rho0.elements, steps, t_end)
+    else:
+        elements = _propagate(gen, rho0.elements, steps)
     return Trajectory(times=np.array(times), elements=elements)
 
 
-def _propagate(model: LindbladModel, rho0: np.ndarray, steps: Sequence[float]) -> np.ndarray:
-    """States after each step, as a (len(steps) + 1, d, d) stack."""
-    gen = liouvillian(model)
+def _propagate(gen: np.ndarray, rho0: np.ndarray, steps: Sequence[float]) -> np.ndarray:
+    """States after each step of vec(rho)' = gen vec(rho), as a
+    (len(steps) + 1, d, d) stack."""
     props = {}
     vec = rho0.reshape(-1)
     out = [vec]

@@ -4,8 +4,8 @@ Routes:
   * rate_numeric  -- central difference of E along an integrated trajectory;
                      the ground-truth oracle for the other two.
   * rate_chain    -- sum over independent matrix elements of
-                     (dE/d rho_ij) (d rho_ij / dt), gradients by finite
-                     differences.
+                     (dE/d rho_ij) (d rho_ij / dt), with the exact gradient
+                     of `eof_gradient` (first-order eigenvalue perturbation).
   * rate_werner / rate_xy -- closed forms for the two parametric families,
                      exact chain rules of the family concurrences.
 
@@ -24,19 +24,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .entanglement import _COL, _PART, _ROW, eof, eof_gradient
+from .entanglement import _COL, _PART, _ROW, _measure_slope, eof_gradient, eof_many
+from .entanglement import eof  # noqa: F401  patched by bench/tracing.py
 from .errors import (
     DegenerateDirectionError,
+    DimensionMismatchError,
     DomainError,
     IndexOutOfRangeError,
     SeparableRegionError,
 )
 from .lindblad import ModelParams, Trajectory
-from .qstate import DensityMatrix, WernerParams, XYFamilyParams, unchecked_density
+from .qstate import DensityMatrix, WernerParams, XYFamilyParams
 
 SEPARABLE_TOL = 1e-6
 XY_SEPARABLE_TOL = 1e-8
-LN2 = float(np.log(2.0))
 # rate_chain's term per independent element: rho_ii, Re rho_ij, Im rho_ij.
 _TERM_NAMES = tuple(f"{('Re ', 'Im ')[part] if row != col else ''}rho{row + 1}{col + 1}"
                     for part, row, col in zip(_PART, _ROW, _COL))
@@ -57,8 +58,7 @@ def rate_numeric(trajectory: Trajectory, index: int) -> float:
         raise IndexOutOfRangeError(
             f"index {index} has no neighbours in a trajectory of length {n}"
         )
-    e_plus = eof(unchecked_density(trajectory.elements[index + 1]))
-    e_minus = eof(unchecked_density(trajectory.elements[index - 1]))
+    e_minus, e_plus = eof_many(trajectory.elements[[index - 1, index + 1]])
     return (e_plus - e_minus) / (trajectory.times[index + 1] - trajectory.times[index - 1])
 
 
@@ -67,23 +67,20 @@ def rate_chain(rho: DensityMatrix, rho_dot: np.ndarray) -> RateBreakdown:
 
     Diagonal elements contribute dE/d(rho_ii) * Re(drho_ii/dt); each
     off-diagonal element contributes real and imaginary parts separately.
-    Propagates KinkRegionError where the gradient is undefined.
+    rho_dot must be a finite 4x4 matrix.  Propagates KinkRegionError where
+    the gradient is undefined.
     """
-    grad = eof_gradient(rho)
     rho_dot = np.asarray(rho_dot, dtype=complex)
+    if rho_dot.shape != (4, 4):
+        raise DimensionMismatchError(f"rho_dot must be 4x4, got shape {rho_dot.shape}")
+    if not np.isfinite(rho_dot).all():
+        raise DomainError("rho_dot must be finite")
+    grad = eof_gradient(rho)
     slopes = np.stack([grad.dE_dRe, grad.dE_dIm])[_PART, _ROW, _COL]
     rates = np.stack([rho_dot.real, rho_dot.imag])[_PART, _ROW, _COL]
     # A running total in element order; np.sum would pair the terms up.
     total = np.cumsum(slopes * rates)[-1]
     return RateBreakdown(gamma_total=total, terms=tuple(zip(_TERM_NAMES, slopes, rates)))
-
-
-def _measure_slope(c):
-    """dE/dc = c atanh(u)/(u ln2), u = sqrt(1-c^2), elementwise; 1/ln2 at c=1."""
-    u = np.sqrt(np.maximum(0.0, 1.0 - c * c))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = c * np.arctanh(u) / (u * LN2)
-    return np.where(u == 0.0, c / LN2, slope)
 
 
 def rate_werner(w: WernerParams, params: ModelParams) -> float:

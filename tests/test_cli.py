@@ -268,6 +268,18 @@ class TestRateCommand:
             assert vals["rate_numeric_at_dt"] == pytest.approx(vals["rate_closed_form"],
                                                                rel=1e-2)
 
+    @pytest.mark.parametrize("point", [
+        ("--p", "0.5", "--qi", "0.5"),  # pure XY state at C = 1
+        ("--a", "1", "--cd", "0"),  # Bell state
+        ("--p", "0.8", "--qi", "0.4"),  # pure XY state at C = 0.8
+    ])
+    def test_chain_route_is_exact_on_pure_states(self, capsys, point):
+        code, out, _ = run_cli(capsys, "rate", *point, "--g", "0.3", "--gamma", "0.05",
+                               "--format", "json")
+        assert code == 0
+        vals = json.loads(out)["values"]
+        assert vals["rate_chain"] == pytest.approx(vals["rate_closed_form"], rel=1e-9)
+
     def test_werner_point(self, capsys):
         code, out, _ = run_cli(capsys, "rate", "--a", "0.7", "--cd", "0.2",
                                "--gamma", "0.01", "--format", "json")

@@ -22,7 +22,7 @@ from entrate import (
     werner_state,
     xy_state,
 )
-from entrate.entanglement import INPUT_PSD_FLOOR
+from entrate.entanglement import _COL, _DIRECTIONS, _PART, _ROW, INPUT_PSD_FLOOR
 from entrate.errors import (
     DimensionMismatchError,
     DomainError,
@@ -32,6 +32,16 @@ from entrate.errors import (
 
 PSI_PLUS = xy_state(XYFamilyParams(0.5, 0.5 + 0.0j))
 GROUND = new_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+
+
+def central_difference_gradient(mat, h=1e-6):
+    """Oracle for eof_gradient: (Re, Im) stack of central differences of
+    eof_many along each of the 16 directions, at step h."""
+    step = h * _DIRECTIONS
+    e = eof_many(np.concatenate([mat + step, mat - step]))
+    grad = np.zeros((2, 4, 4))
+    grad[_PART, _ROW, _COL] = (e[:16] - e[16:]) / (2 * h)
+    return grad
 
 
 def _spin_flip_pattern(m):
@@ -229,6 +239,25 @@ class TestEofGradient:
                 eof(as_state(mat + h * direction)) - eof(as_state(mat - h * direction))
             ) / (2 * h)
             assert from_grad == pytest.approx(two_point, rel=1e-4, abs=1e-9)
+
+    def test_matches_central_differences_on_full_rank_states(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            mat = random_entangled_mixed(rng)
+            grad = eof_gradient(as_state(mat))
+            np.testing.assert_allclose(np.stack([grad.dE_dRe, grad.dE_dIm]),
+                                       central_difference_gradient(mat), rtol=0, atol=1e-6)
+
+    def test_rank_two_state_outside_x_form_is_refused(self):
+        # Two of its lambdas are 0, and E has a one-sided kink in every direction
+        # that makes them grow.
+        rng = np.random.default_rng(47)
+        psi = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        mat = 0.7 * np.outer(psi[0], psi[0].conj()) + 0.3 * np.outer(psi[1], psi[1].conj())
+        assert concurrence(as_state(mat)).c > 0.1
+        with pytest.raises(KinkRegionError):
+            eof_gradient(as_state(mat))
 
 
 class TestConcurrenceWerner:

@@ -229,8 +229,9 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(lambda r: np.zeros((4, 4)), rho, -1.0, 0.1)
 
-    def test_state_shape_must_match_model(self):
-        model = damped_xy_model(ModelParams(1.0, 0.2, 0.01))
+    @pytest.mark.parametrize("model", [ModelParams(1.0, 0.2, 0.01),
+                                       damped_xy_model(ModelParams(1.0, 0.2, 0.01))])
+    def test_state_shape_must_match_model(self, model):
         with pytest.raises(DimensionMismatchError):
             integrate(model, new_density(np.eye(2) / 2), 0.1, 0.05)
 
@@ -309,6 +310,21 @@ class TestExactPropagation:
         assert (traj.elements[:, [0, 0, 1, 2], [1, 2, 3, 3]] == 0.0).all()
         trace = np.trace(traj.elements, axis1=1, axis2=2)
         assert np.abs(trace - 1.0).max() <= 1e-12
+
+    def test_damped_xy_generator_is_its_liouvillian_bitwise(self):
+        rng = np.random.default_rng(59)
+        for omega, g, gamma in rng.uniform([-5, -5, 0], [5, 5, 5], size=(500, 3)):
+            params = ModelParams(omega, g, gamma)
+            want = liouvillian(damped_xy_model(params))
+            assert entrate.lindblad._damped_xy_generator(params).tobytes() == want.tobytes()
+
+    def test_model_params_propagate_as_the_damped_xy_model(self):
+        params = ModelParams(0.7, -0.3, 0.08)
+        rho0 = xy_state(XYFamilyParams(0.6, 0.1 + 0.3j))
+        got = integrate(params, rho0, 2.37, 0.01)
+        want = integrate(damped_xy_model(params), rho0, 2.37, 0.01)
+        assert got.elements.tobytes() == want.elements.tobytes()
+        assert got.times.tobytes() == want.times.tobytes()
 
     @pytest.mark.parametrize("t_end,dt", [(10.0, 0.01), (2.37, 0.01), (0.0, 0.1), (1.0, 5.0)])
     def test_one_exponential_per_step_length(self, monkeypatch, t_end, dt):

@@ -22,6 +22,8 @@ from entrate import (
 )
 from entrate.errors import (
     DegenerateDirectionError,
+    DimensionMismatchError,
+    DomainError,
     IndexOutOfRangeError,
     KinkRegionError,
     SeparableRegionError,
@@ -101,6 +103,35 @@ class TestRateChain:
         rho = new_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
         with pytest.raises(KinkRegionError):
             rate_chain(rho, np.zeros((4, 4), dtype=complex))
+
+    def test_rho_dot_must_be_4x4(self):
+        rho = werner_state(WernerParams(0.7, 0.1, 0.1, 0.1))
+        with pytest.raises(DimensionMismatchError):
+            rate_chain(rho, np.zeros((2, 2)))
+
+    def test_rho_dot_must_be_finite(self):
+        rho = werner_state(WernerParams(0.7, 0.1, 0.1, 0.1))
+        with pytest.raises(DomainError):
+            rate_chain(rho, np.full((4, 4), np.nan))
+
+    def test_exact_along_the_damped_xy_flow(self):
+        """The chain rule along rhs_damped_xy equals the closed forms, on XY
+        points (pure ones and C = 1 among them) and on Bell-diagonal points
+        (the c + d = 0 edge among them)."""
+        rng = np.random.default_rng(53)
+        for k in range(150):
+            params = ModelParams(rng.uniform(-3, 3), rng.uniform(-1, 1), rng.uniform(0, 1))
+            p = rng.uniform(0.02, 0.98)
+            phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            x = (random_xy_interior(rng), XYFamilyParams(p, np.sqrt(p * (1 - p)) * phase),
+                 XYFamilyParams(0.5, 0.5 * phase))[k % 3]
+            a = rng.uniform(0.55, 1.0)
+            rest = rng.dirichlet([1, 1, 1]) * (1 - a) if k % 2 else (1 - a, 0.0, 0.0)
+            w = WernerParams(a, *rest)
+            for rho, closed in ((xy_state(x), rate_xy(x, params)),
+                                (werner_state(w), rate_werner(w, params))):
+                chain = rate_chain(rho, rhs_damped_xy(params, rho)).gamma_total
+                assert chain == pytest.approx(closed, rel=1e-10, abs=1e-14)
 
 
 class TestRateWerner:
