@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entanglement import eof, eof_many  # noqa: F401  eof is patched by bench/tracing.py
+from .entanglement import _eof_and_spectra, eof  # noqa: F401  eof is patched by bench/tracing.py
 from .errors import (
     DegenerateDirectionError,
     EntrateError,
@@ -52,6 +52,7 @@ from .qstate import (
     xy_state,
 )
 from .rate import (
+    _central_difference,
     criterion_threshold_value,
     rate_chain,
     rate_numeric,
@@ -337,12 +338,12 @@ def _parse_state(tokens: list[str]) -> DensityMatrix:
 def _evolve_rows(traj: Trajectory) -> list[list]:
     mats = traj.elements
     t = traj.times
-    e = eof_many(mats)
+    e, spectra = _eof_and_spectra(mats)
     rate = np.full(len(t), np.nan)
-    rate[1:-1] = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
+    rate[1:-1] = _central_difference(e[:-2], e[2:], t[:-2], t[2:])
     table = np.column_stack([
         t, mats.reshape(len(t), 16).view(float), np.trace(mats, axis1=1, axis2=2).real,
-        np.linalg.eigvalsh(mats).min(axis=1), e, rate,
+        spectra[:, 0], e, rate,
     ])
     for name, column in zip(EVOLVE_HEADER, (*table.T[:-1], rate[1:-1])):  # blank ends skipped
         _check_finite(name, column)

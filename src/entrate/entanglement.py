@@ -76,14 +76,15 @@ def spin_flip(rho: DensityMatrix) -> np.ndarray:
     return _SYY @ rho.elements.conj() @ _SYY
 
 
-def _concurrence_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concurrences and lambdas of a (..., 4, 4) stack, via the Hermitian route.
+def _concurrence_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concurrences, lambdas and ascending spectra of a (..., 4, 4) stack.
 
     With B = sqrt(rho) (sy x sy) sqrt(rho)^T one has
     B B^dagger = sqrt(rho) rho_tilde sqrt(rho), whose spectrum equals that
     of rho * rho_tilde; the lambda_i are therefore the singular values of
     B.  Taking singular values directly avoids squaring and keeps the
-    lambdas accurate near rank-deficient (pure) states.
+    lambdas accurate near rank-deficient (pure) states.  The spectra are
+    those of the states themselves, from the eigh that gives sqrt(rho).
     """
     try:
         w, v = np.linalg.eigh(mats)
@@ -100,14 +101,14 @@ def _concurrence_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"singular value decomposition failed: {exc}") from exc
     c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-    return np.clip(c, 0.0, 1.0), lam
+    return np.clip(c, 0.0, 1.0), lam, w
 
 
 def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
     """Wootters concurrence of a two-qubit state."""
     if rho.dim != 4:
         raise DimensionMismatchError(f"concurrence needs dim 4, got {rho.dim}")
-    c, lam = _concurrence_raw(rho.elements)
+    c, lam, _ = _concurrence_raw(rho.elements)
     lam.setflags(write=False)
     return ConcurrenceResult(c=float(c), lambdas=lam)
 
@@ -120,9 +121,16 @@ def _entropy(x: np.ndarray) -> np.ndarray:
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:  # NaN fails too
         raise DomainError(f"binary entropy needs x in [0, 1], got {x!r}")
     return float(_entropy(x))
+
+
+def _eof_and_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E = h((1 + sqrt(1 - c^2)) / 2) of every state in a complex (..., 4, 4)
+    stack, and the states' ascending spectra."""
+    c, _, w = _concurrence_raw(mats)
+    return _entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0), w
 
 
 def eof_many(mats) -> np.ndarray:
@@ -134,8 +142,7 @@ def eof_many(mats) -> np.ndarray:
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[-2:] != (4, 4):
         raise DimensionMismatchError(f"eof needs a stack of 4x4 matrices, got {mats.shape}")
-    c, _ = _concurrence_raw(mats)
-    return _entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)
+    return _eof_and_spectra(mats)[0]
 
 
 def eof(rho: DensityMatrix) -> float:
@@ -176,7 +183,7 @@ def eof_gradient(rho: DensityMatrix) -> MeasureGradient:
     if rho.dim != 4:
         raise DimensionMismatchError(f"eof gradient needs dim 4, got {rho.dim}")
     mat = rho.elements
-    c, lam = _concurrence_raw(mat)
+    c, lam, _ = _concurrence_raw(mat)
     if c <= KINK_TOL:
         raise KinkRegionError(
             f"concurrence {float(c)!r} is within {KINK_TOL} of the c = 0 kink"

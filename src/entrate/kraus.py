@@ -133,16 +133,15 @@ def build_effective_hamiltonian(
 def evolve_effective(
     h_e: EffectiveHamiltonian, rho0: DensityMatrix, t_end: float, dt: float
 ) -> Trajectory:
-    """Integrate d(rho)/dt = -i[H_e, rho] for Hermitian H_e."""
+    """Integrate d(rho)/dt = -i[H_e, rho] for Hermitian H_e.
+
+    integrate raises DimensionMismatchError when H_e and rho0 differ in shape.
+    """
     h = np.asarray(h_e.h_e, dtype=complex)
     defect = np.abs(h - h.conj().T).max()
     if defect > HERMITICITY_TOL:
         raise NonHermitianError(
             f"effective Hamiltonian Hermiticity defect {defect!r} exceeds {HERMITICITY_TOL}"
-        )
-    if h.shape[0] != rho0.dim:
-        raise DimensionMismatchError(
-            f"H_e dim {h.shape[0]} does not match state dim {rho0.dim}"
         )
     # The Hermitian part passes LindbladModel's tighter Hermiticity check
     # and leaves an exactly Hermitian H_e unchanged.

@@ -4,13 +4,17 @@ Two interchangeable right-hand sides are provided: a generic backend built
 from a free Hamiltonian plus damping/pumping channels, and a specialized
 backend with the closed-form element equations of two dipole-coupled qubits
 damped at rate gamma (hbar = 1 throughout).  `rhs_consistency_check`
-cross-validates one against the other.
+cross-validates one against the other.  In the generic backend damping and
+pumping are one dissipator, D[a] rho = r/2 (2 a rho a^dagger - a^dagger a rho
+- rho a^dagger a), taken for the jump a = X- at rate k and a = X+ at rate g.
 
 The generic model is linear, vec(rho)' = L vec(rho), so `integrate`
 propagates it exactly with exp(L dt) (Havel, J. Math. Phys. 44, 534 (2003));
 the exponential is a scaling-and-squaring Taylor series (Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 31, 970 (2009)).  A callable right-hand side is
-stepped by RK4.
+SIAM J. Matrix Anal. Appl. 31, 970 (2009)).  `ModelParams` stands for the
+damped XY model there: its generator is omega L_omega + g L_g + gamma
+L_gamma, from three unit generators built once at import
+(`_XY_GENERATORS`).  A callable right-hand side is stepped by RK4.
 """
 
 from dataclasses import dataclass, field
@@ -65,7 +69,8 @@ class LindbladModel:
         k/2 (2 X- rho X+ - X+ X- rho - rho X+ X-)
       + g/2 (2 X+ rho X- - X- X+ rho - rho X- X+)
     with X+ the conjugate transpose of the stored X-.  g_rate vanishes at
-    zero temperature.
+    zero temperature.  h0 must be a finite, square and Hermitian matrix, and
+    each X- a finite matrix of its shape.
     """
 
     h0: np.ndarray
@@ -73,15 +78,19 @@ class LindbladModel:
 
     def __post_init__(self):
         h0 = np.asarray(self.h0, dtype=complex)
+        if h0.ndim != 2 or h0.shape[0] != h0.shape[1] or not h0.size:
+            raise DimensionMismatchError(f"h0 must be a square matrix, got shape {h0.shape}")
         if not np.isfinite(h0).all():
             raise DomainError("h0 must be finite")
         defect = np.abs(h0 - h0.conj().T).max()
         if defect > HERMITICITY_TOL:
             raise NonHermitianError(f"h0 Hermiticity defect {defect!r}")
-        dim = h0.shape[0]
         for x_minus, k_rate, g_rate in self.channels:
-            if np.asarray(x_minus).shape != (dim, dim):
+            x_minus = np.asarray(x_minus)
+            if x_minus.shape != h0.shape:
                 raise DimensionMismatchError("channel operator dimension mismatch")
+            if not np.isfinite(x_minus).all():
+                raise DomainError("channel operators must be finite")
             if not (0 <= k_rate < np.inf and 0 <= g_rate < np.inf):  # NaN fails too
                 raise DomainError(f"channel rates must be nonnegative and finite, got "
                                   f"{k_rate!r}, {g_rate!r}")
@@ -139,12 +148,11 @@ def _rhs_stack(model: LindbladModel, mats: np.ndarray) -> np.ndarray:
     for x_minus, k_rate, g_rate in model.channels:
         xm = np.asarray(x_minus, dtype=complex)
         xp = xm.conj().T
-        if k_rate:
-            pp = xp @ xm
-            out += 0.5 * k_rate * (2.0 * xm @ mats @ xp - pp @ mats - mats @ pp)
-        if g_rate:
-            mm = xm @ xp
-            out += 0.5 * g_rate * (2.0 * xp @ mats @ xm - mm @ mats - mats @ mm)
+        # One dissipator, jump a with b = a^dagger: damping a = X-, pumping a = X+.
+        for a, b, rate in ((xm, xp, k_rate), (xp, xm, g_rate)):
+            if rate:
+                ba = b @ a
+                out += 0.5 * rate * (2.0 * a @ mats @ b - ba @ mats - mats @ ba)
     return out
 
 
@@ -245,10 +253,11 @@ def integrate(
     when rho0's shape differs from the model's.
 
     A callable rhs is stepped by classic fourth-order Runge-Kutta.  Each
-    stored state is re-Hermitized ((rho + rho^dagger)/2) and
-    trace-renormalized; the trace drift before correction must stay below
-    1e-6 per step and 1e-8 per unit time, otherwise StepSizeTooLargeError is
-    raised.
+    derivative it returns must have rho0's shape (DimensionMismatchError)
+    and be finite (NonFiniteError).  Each stored state is re-Hermitized
+    ((rho + rho^dagger)/2) and trace-renormalized; the trace drift before
+    correction must stay below 1e-6 per step and 1e-8 per unit time,
+    otherwise StepSizeTooLargeError is raised.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise DomainError(f"step size must be positive and finite, got {dt!r}")
@@ -334,7 +343,14 @@ def _rk4(
     t_end: float,
 ) -> np.ndarray:
     def call(mat: np.ndarray) -> np.ndarray:
-        return np.asarray(rhs(unchecked_density(mat)), dtype=complex)
+        out = np.asarray(rhs(unchecked_density(mat)), dtype=complex)
+        if out.shape != mat.shape:
+            raise DimensionMismatchError(
+                f"rhs returned shape {out.shape} for a state of shape {mat.shape}"
+            )
+        if not np.isfinite(out).all():
+            raise NonFiniteError("rhs returned a non-finite derivative")
+        return out
 
     mat = np.array(rho0)
     states = [mat]

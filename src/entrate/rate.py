@@ -2,7 +2,9 @@
 
 Routes:
   * rate_numeric  -- central difference of E along an integrated trajectory;
-                     the ground-truth oracle for the other two.
+                     the ground-truth oracle for the other two.  One
+                     elementwise kernel, `_central_difference`, forms the
+                     quotient here and for every interior row of `evolve`.
   * rate_chain    -- sum over independent matrix elements of
                      (dE/d rho_ij) (d rho_ij / dt), with the exact gradient
                      of `eof_gradient` (first-order eigenvalue perturbation).
@@ -19,6 +21,7 @@ gamma |q|^2 (`_xy_margin`), for g < 0 and gamma = 0 too.  Where qI (2p-1) > 0
 and gamma > 0, Gamma is positive exactly when g/gamma exceeds |q|^2 / (qI (2p-1)).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,6 +54,11 @@ class RateBreakdown:
     terms: Sequence[tuple[str, float, float]]
 
 
+def _central_difference(e_minus, e_plus, t_minus, t_plus):
+    """(e_plus - e_minus) / (t_plus - t_minus), elementwise."""
+    return (e_plus - e_minus) / (t_plus - t_minus)
+
+
 def rate_numeric(trajectory: Trajectory, index: int) -> float:
     """Central difference of the entanglement of formation at a trajectory index."""
     n = len(trajectory)
@@ -59,7 +67,7 @@ def rate_numeric(trajectory: Trajectory, index: int) -> float:
             f"index {index} has no neighbours in a trajectory of length {n}"
         )
     e_minus, e_plus = eof_many(trajectory.elements[[index - 1, index + 1]])
-    return (e_plus - e_minus) / (trajectory.times[index + 1] - trajectory.times[index - 1])
+    return _central_difference(e_minus, e_plus, *trajectory.times[[index - 1, index + 1]])
 
 
 def rate_chain(rho: DensityMatrix, rho_dot: np.ndarray) -> RateBreakdown:
@@ -133,8 +141,12 @@ def rate_xy_value(p: float, q: complex, g: float, gamma: float) -> float:
 
     Defined wherever 0 < |q| <= 1/2, independent of whether (p, q) jointly
     satisfies the state positivity condition; sweep commands rely on this
-    to evaluate the formula on the full coherence disk.
+    to evaluate the formula on the full coherence disk.  Every argument must
+    be finite (DomainError).
     """
+    if not all(map(math.isfinite, (p, q.real, q.imag, g, gamma))):
+        raise DomainError(f"rate needs finite p, q, g and gamma, got {p!r}, {q!r}, "
+                          f"{g!r}, {gamma!r}")
     try:
         aq = abs(q)
     except OverflowError:  # |q| beyond the largest float
@@ -157,7 +169,10 @@ def rate_xy(x: XYFamilyParams, params: ModelParams) -> float:
 
 
 def criterion_threshold_value(p: float, q: complex) -> float:
-    """Raw threshold |q|^2 / (qI (2p-1)), without family validation."""
+    """Raw threshold |q|^2 / (qI (2p-1)), without family validation; p and q
+    must be finite (DomainError)."""
+    if not all(map(math.isfinite, (p, q.real, q.imag))):
+        raise DomainError(f"threshold needs finite p and q, got {p!r}, {q!r}")
     denom = q.imag * (2.0 * p - 1.0)
     if denom == 0.0:
         raise DegenerateDirectionError(

@@ -10,7 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import entrate.cli
-from entrate import ModelParams, WernerParams, rate_werner, rate_xy_value
+from conftest import random_entangled_mixed
+from entrate import (
+    ModelParams,
+    WernerParams,
+    integrate,
+    rate_numeric,
+    rate_werner,
+    rate_xy_value,
+)
 from entrate.cli import _finite_float, build_parser, main
 from entrate.errors import DomainError, SeparableRegionError
 
@@ -253,6 +261,49 @@ class TestEvolve:
     def test_infeasible_state_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "evolve", "xy", "0.9", "0", "0.4", "--t-end", "1")
         assert code == 3
+
+
+class TestEvolveColumns:
+    """The measure columns of an evolve table against the library on the same
+    trajectory.  t_end is not a multiple of dt, so the last step is short."""
+
+    PARAMS = ModelParams(0.8, 0.3, 0.05)
+    T_END, DT = 0.537, 0.01
+
+    @pytest.fixture(params=["xy", "werner", "matrix"])
+    def evolved(self, request, capsys, tmp_path):
+        """(columns, rows, trajectory) of one JSON evolve run."""
+        if request.param == "matrix":
+            # a full-rank entangled state outside the X form
+            rho = random_entangled_mixed(np.random.default_rng(3))
+            path = tmp_path / "state.txt"
+            path.write_text("\n".join(" ".join(repr(complex(z)) for z in row) for row in rho))
+            state = ["matrix", str(path)]
+        else:
+            state = {"xy": ["xy", "0.6", "0.1", "0.3"],
+                     "werner": ["werner", "0.7", "0.1", "0.15", "0.05"]}[request.param]
+        p = self.PARAMS
+        code, out, _ = run_cli(capsys, "evolve", "--format", "json", "--t-end", repr(self.T_END),
+                               "--dt", repr(self.DT), "--omega", repr(p.omega), "--g", repr(p.g),
+                               "--gamma", repr(p.gamma), "--", *state)
+        assert code == 0
+        doc = json.loads(out)
+        traj = integrate(p, entrate.cli._parse_state(state), self.T_END, self.DT)
+        assert doc["axes"]["t"] == traj.times.tolist()
+        return doc["values"]["columns"], doc["values"]["rows"], traj
+
+    def test_rate_column_is_rate_numeric_bitwise(self, evolved):
+        columns, rows, traj = evolved
+        col = columns.index("rate_numeric")
+        assert len(rows) == len(traj) > 50
+        for i in range(1, len(traj) - 1):
+            assert rows[i][col] == rate_numeric(traj, i)
+
+    def test_min_eig_column_is_the_smallest_eigenvalue(self, evolved):
+        columns, rows, traj = evolved
+        got = np.array([row[columns.index("min_eig")] for row in rows])
+        want = np.linalg.eigvalsh(traj.elements).min(axis=1)
+        assert np.abs(got - want).max() <= 1e-15
 
 
 class TestRateCommand:

@@ -140,6 +140,8 @@ class TestBinaryEntropy:
             binary_entropy(-0.01)
         with pytest.raises(DomainError):
             binary_entropy(1.01)
+        with pytest.raises(DomainError):
+            binary_entropy(np.nan)
 
     def test_measure_monotone_in_concurrence(self):
         grid = np.linspace(1e-4, 1.0, 400)

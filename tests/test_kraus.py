@@ -200,6 +200,11 @@ class TestEvolveEffective:
         assert final.trace().real == pytest.approx(1.0, abs=1e-8)
         assert (final @ final).trace().real == pytest.approx(purity0, abs=1e-8)
 
+    def test_generator_dim_must_match_state(self):
+        with pytest.raises(DimensionMismatchError):
+            evolve_effective(EffectiveHamiltonian(np.zeros((2, 2))),
+                             new_density(np.eye(4) / 4), 1.0, 0.1)
+
     def test_non_hermitian_generator_rejected(self):
         bad = EffectiveHamiltonian(np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
         with pytest.raises(NonHermitianError):

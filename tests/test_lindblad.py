@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,20 @@ def test_model_requires_hermitian_h0():
 def test_model_requires_finite_h0_and_rates(h0, rates):
     with pytest.raises(DomainError):
         LindbladModel(h0=h0, channels=((LOWER, *rates),))
+
+
+@pytest.mark.parametrize("h0", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2)),
+                                np.zeros((0, 0))], ids=["2x3", "vector", "stack", "empty"])
+def test_model_requires_square_h0(h0):
+    with pytest.raises(DimensionMismatchError):
+        LindbladModel(h0=h0)
+
+
+def test_model_requires_finite_channel_operators():
+    x_minus = LOWER.copy()
+    x_minus[1, 0] = np.nan
+    with pytest.raises(DomainError):
+        LindbladModel(h0=np.zeros((2, 2)), channels=((x_minus, 0.1, 0.0),))
 
 
 def test_generic_rhs_commuting_case_is_zero():
@@ -238,6 +254,18 @@ class TestIntegrate:
         with pytest.raises(DimensionMismatchError):
             integrate(ModelParams(1.0, 0.2, 0.01), new_density(np.eye(2) / 2), 0.1, 0.05)
 
+    def test_callable_rhs_must_return_the_state_shape(self):
+        with pytest.raises(DimensionMismatchError):
+            integrate(lambda r: np.zeros((4, 4)), new_density(np.eye(3) / 3), 0.1, 0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_derivative_raises_without_warning(self, bad):
+        rho = new_density(np.eye(4) / 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                integrate(lambda r: np.full((4, 4), bad, dtype=complex), rho, 0.1, 0.05)
+
     def test_final_time_is_exact(self):
         rho = new_density(np.eye(4) / 4)
         traj = integrate(lambda r: np.zeros((4, 4), dtype=complex), rho, 0.25, 0.1)
@@ -256,6 +284,23 @@ def kron_liouvillian(model):
             ba = b @ a
             gen += 0.5 * rate * (2.0 * np.kron(a, b.T) - np.kron(ba, eye) - np.kron(eye, ba.T))
     return gen
+
+
+def two_formula_rhs_stack(model, mats):
+    """The generic right-hand side with damping and pumping written out as two
+    dissipators: a bitwise reference for liouvillian."""
+    h0 = model.h0
+    out = -1j * (h0 @ mats - mats @ h0)
+    for x_minus, k_rate, g_rate in model.channels:
+        xm = np.asarray(x_minus, dtype=complex)
+        xp = xm.conj().T
+        if k_rate:
+            pp = xp @ xm
+            out += 0.5 * k_rate * (2.0 * xm @ mats @ xp - pp @ mats - mats @ pp)
+        if g_rate:
+            mm = xm @ xp
+            out += 0.5 * g_rate * (2.0 * xp @ mats @ xm - mm @ mats - mats @ mm)
+    return out
 
 
 def random_model(rng, dim):
@@ -278,6 +323,16 @@ class TestExactPropagation:
     def test_liouvillian_matches_kron_form(self, dim):
         model = random_model(np.random.default_rng(dim), dim)
         np.testing.assert_allclose(liouvillian(model), kron_liouvillian(model), atol=1e-14)
+
+    def test_liouvillian_is_the_two_formula_dissipator_bitwise(self):
+        rng = np.random.default_rng(67)
+        for k in range(300):
+            dim = 2 + k % 3
+            model = random_model(rng, dim)
+            n = dim * dim
+            basis = np.eye(n, dtype=complex).reshape(n, dim, dim)
+            want = np.ascontiguousarray(two_formula_rhs_stack(model, basis).reshape(n, n).T)
+            assert liouvillian(model).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3, 4, "xy"])
     def test_matches_scipy_expm_and_rk4(self, dim):

@@ -244,6 +244,13 @@ class TestRateXY:
         # g/gamma = 2.5 exactly matches the threshold for (p=0.6, q=0.5i)
         assert abs(rate_xy_value(0.6, 0.5j, 0.025, 0.01)) < 1e-12
 
+    @pytest.mark.parametrize("args", [
+        (np.nan, 0.3j, 0.2, 0.01), (0.6, 0.3j, np.nan, 0.01), (0.6, 0.3j, 0.2, np.nan),
+    ], ids=["p", "g", "gamma"])
+    def test_nan_argument_is_a_domain_error(self, args):
+        with pytest.raises(DomainError):
+            rate_xy_value(*args)
+
 
 class TestCriterionThreshold:
     def test_threshold_arithmetic(self):
@@ -254,6 +261,10 @@ class TestCriterionThreshold:
         # |q|^2 (and for the second q, |q| itself) is past the largest float
         assert criterion_threshold_value(0.0, q) == -np.inf
         assert criterion_threshold_value(1.0, q) == np.inf
+
+    def test_nan_population_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            criterion_threshold_value(np.nan, 0.3j)
 
     def test_typed_operation_on_feasible_point(self):
         assert criterion_threshold(XYFamilyParams(0.6, 0.4j)) == pytest.approx(
