@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .qstate import DensityMatrix, new_density
+from .qstate import DensityMatrix, _as_complex, new_density
 
 REALITY_TOL = 1e-12
 
@@ -121,7 +121,7 @@ def coefficient_rates(
     Same trace normalization as :func:`decompose`, so that
     decompose(rho(t + h)) - decompose(rho(t)) = h * rates + O(h^2).
     """
-    rho_dot = np.asarray(rho_dot, dtype=complex)
+    rho_dot = _as_complex(rho_dot)
     if rho_dot.shape != (n * m, n * m):
         raise DimensionMismatchError(f"rho_dot shape {rho_dot.shape} is not ({n * m}, {n * m})")
     return _coefficients(rho_dot, n, m)

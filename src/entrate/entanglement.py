@@ -18,7 +18,7 @@ from .errors import (
     EigenFailureError,
     KinkRegionError,
 )
-from .qstate import DensityMatrix, WernerParams
+from .qstate import DensityMatrix, WernerParams, _as_complex
 
 KINK_TOL = 1e-6
 # eof_gradient treats a lambda at or below this as zero (see its docstring).
@@ -139,7 +139,7 @@ def eof_many(mats) -> np.ndarray:
     Raises EigenFailureError when any member has an eigenvalue below
     -INPUT_PSD_FLOOR or a decomposition fails.
     """
-    mats = np.asarray(mats, dtype=complex)
+    mats = _as_complex(mats)
     if mats.shape[-2:] != (4, 4):
         raise DimensionMismatchError(f"eof needs a stack of 4x4 matrices, got {mats.shape}")
     return _eof_and_spectra(mats)[0]

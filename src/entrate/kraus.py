@@ -19,7 +19,7 @@ from .errors import (
     WeightError,
 )
 from .lindblad import LindbladModel, Trajectory, integrate
-from .qstate import DensityMatrix, new_density
+from .qstate import DensityMatrix, _as_complex, _read_only, new_density
 
 COMPLETENESS_TOL = 1e-10
 WEIGHT_TOL = 1e-10
@@ -37,14 +37,15 @@ class KrausChannel:
 
     def __post_init__(self):
         try:
-            ops = np.array(self.operators, dtype=complex)
-        except ValueError as exc:  # a ragged sequence
-            raise DimensionMismatchError(f"Kraus operators differ in shape: {exc}") from exc
+            ops = _read_only(self.operators)
+        except DomainError as exc:  # ragged (operators of different shapes) or not numeric
+            raise DimensionMismatchError(
+                f"Kraus operators must be numeric matrices of one shape: {exc}"
+            ) from exc
         if ops.ndim != 3 or ops.shape[0] == 0 or ops.shape[1] != ops.shape[2]:
             raise DimensionMismatchError(
                 f"channel needs at least one square Kraus operator, got shape {ops.shape}"
             )
-        ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -54,9 +55,21 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
-    """First-order effective generator; not necessarily Hermitian as built."""
+    """First-order effective generator; not necessarily Hermitian as built.
+
+    H_e is stored as a read-only complex copy.  DimensionMismatchError unless
+    it is a non-empty square matrix, DomainError unless it is finite.
+    """
 
     h_e: np.ndarray
+
+    def __post_init__(self):
+        h_e = _read_only(self.h_e)
+        if h_e.ndim != 2 or h_e.shape[0] != h_e.shape[1] or not h_e.size:
+            raise DimensionMismatchError(f"H_e must be a square matrix, got shape {h_e.shape}")
+        if not np.isfinite(h_e).all():
+            raise DomainError("H_e must be finite")
+        object.__setattr__(self, "h_e", h_e)
 
 
 def completeness_defect(channel: KrausChannel) -> float:
@@ -116,10 +129,8 @@ def build_effective_hamiltonian(
     if not h_t_elements:
         raise DimensionMismatchError("h_t_elements must contain at least one block")
 
-    blocks = {k: np.asarray(v, dtype=complex) for k, v in h_t_elements.items()}
+    blocks = {k: _as_complex(v) for k, v in h_t_elements.items()}
     shape = next(iter(blocks.values())).shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatchError(f"blocks must be square, got {shape}")
     h_e = np.zeros(shape, dtype=complex)
     for (mu, nu), block in blocks.items():
         if not (0 <= mu < len(p) and 0 <= nu < len(p)):
@@ -137,7 +148,7 @@ def evolve_effective(
 
     integrate raises DimensionMismatchError when H_e and rho0 differ in shape.
     """
-    h = np.asarray(h_e.h_e, dtype=complex)
+    h = h_e.h_e
     defect = np.abs(h - h.conj().T).max()
     if defect > HERMITICITY_TOL:
         raise NonHermitianError(

@@ -30,7 +30,14 @@ from .errors import (
     StepSizeTooLargeError,
     TraceNotOneError,
 )
-from .qstate import HERMITICITY_TOL, DensityMatrix, unchecked_density
+from .qstate import (
+    HERMITICITY_TOL,
+    DensityMatrix,
+    _as_complex,
+    _finite_numbers,
+    _read_only,
+    unchecked_density,
+)
 
 STEP_DRIFT_TOL = 1e-6
 DRIFT_RATE_TOL = 1e-8
@@ -55,7 +62,7 @@ class ModelParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega) and np.isfinite(self.g) and np.isfinite(self.gamma)):
+        if not _finite_numbers((self.omega, self.g, self.gamma)):
             raise DomainError("model parameters must be finite")
         if self.gamma < 0:
             raise DomainError(f"damping rate must be nonnegative, got {self.gamma!r}")
@@ -69,15 +76,18 @@ class LindbladModel:
         k/2 (2 X- rho X+ - X+ X- rho - rho X+ X-)
       + g/2 (2 X+ rho X- - X- X+ rho - rho X- X+)
     with X+ the conjugate transpose of the stored X-.  g_rate vanishes at
-    zero temperature.  h0 must be a finite, square and Hermitian matrix, and
-    each X- a finite matrix of its shape.
+    zero temperature.  h0 must be a finite, square and Hermitian matrix,
+    each X- a finite matrix of its shape and each rate a nonnegative finite
+    real number.  h0 and each X- are stored as read-only complex copies and
+    each rate as a float, so later changes to the caller's arrays do not
+    reach the model.
     """
 
     h0: np.ndarray
     channels: Sequence[tuple[np.ndarray, float, float]] = field(default_factory=tuple)
 
     def __post_init__(self):
-        h0 = np.asarray(self.h0, dtype=complex)
+        h0 = _read_only(self.h0)
         if h0.ndim != 2 or h0.shape[0] != h0.shape[1] or not h0.size:
             raise DimensionMismatchError(f"h0 must be a square matrix, got shape {h0.shape}")
         if not np.isfinite(h0).all():
@@ -85,15 +95,25 @@ class LindbladModel:
         defect = np.abs(h0 - h0.conj().T).max()
         if defect > HERMITICITY_TOL:
             raise NonHermitianError(f"h0 Hermiticity defect {defect!r}")
-        for x_minus, k_rate, g_rate in self.channels:
-            x_minus = np.asarray(x_minus)
+        try:
+            entries = [(x_minus, k, g) for x_minus, k, g in self.channels]
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatchError(
+                f"channels must be a sequence of (X-, k, g) triples: {exc}"
+            ) from exc
+        channels = []
+        for x_minus, k_rate, g_rate in entries:
+            x_minus = _read_only(x_minus)
             if x_minus.shape != h0.shape:
                 raise DimensionMismatchError("channel operator dimension mismatch")
             if not np.isfinite(x_minus).all():
                 raise DomainError("channel operators must be finite")
-            if not (0 <= k_rate < np.inf and 0 <= g_rate < np.inf):  # NaN fails too
+            if not (_finite_numbers((k_rate, g_rate)) and k_rate >= 0 and g_rate >= 0):
                 raise DomainError(f"channel rates must be nonnegative and finite, got "
                                   f"{k_rate!r}, {g_rate!r}")
+            channels.append((x_minus, float(k_rate), float(g_rate)))
+        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "channels", tuple(channels))
 
 
 @dataclass(frozen=True)
@@ -108,7 +128,7 @@ class Trajectory:
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
-        elements = np.array(self.elements, dtype=complex)
+        elements = _read_only(self.elements)
         if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
             raise DimensionMismatchError(
                 f"elements must be a (T, d, d) stack, got shape {elements.shape}"
@@ -123,7 +143,6 @@ class Trajectory:
             k = bad[0]
             raise TraceNotOneError(f"state at t={times[k]} has trace defect {defect[k]}")
         times.setflags(write=False)
-        elements.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "elements", elements)
 
@@ -145,8 +164,7 @@ def _rhs_stack(model: LindbladModel, mats: np.ndarray) -> np.ndarray:
     """rhs_generic's formula on a (..., d, d) stack of matrices."""
     h0 = model.h0
     out = -1j * (h0 @ mats - mats @ h0)
-    for x_minus, k_rate, g_rate in model.channels:
-        xm = np.asarray(x_minus, dtype=complex)
+    for xm, k_rate, g_rate in model.channels:
         xp = xm.conj().T
         # One dissipator, jump a with b = a^dagger: damping a = X-, pumping a = X+.
         for a, b, rate in ((xm, xp, k_rate), (xp, xm, g_rate)):
@@ -343,7 +361,7 @@ def _rk4(
     t_end: float,
 ) -> np.ndarray:
     def call(mat: np.ndarray) -> np.ndarray:
-        out = np.asarray(rhs(unchecked_density(mat)), dtype=complex)
+        out = _as_complex(rhs(unchecked_density(mat)))
         if out.shape != mat.shape:
             raise DimensionMismatchError(
                 f"rhs returned shape {out.shape} for a state of shape {mat.shape}"

@@ -50,7 +50,7 @@ class WernerParams:
 
     def __post_init__(self):
         w = (self.a, self.b, self.c, self.d)
-        if not np.isfinite(w).all():
+        if not _finite_numbers(w):
             raise DomainError(f"Werner weights must be finite, got {w}")
         if min(w) < -TRACE_TOL:  # boundary weights built by subtraction round off
             raise WeightError(f"Werner weights must be nonnegative, got {w}")
@@ -71,7 +71,7 @@ class XYFamilyParams:
     q: complex
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and np.isfinite(self.q)):
+        if not (_finite_numbers((self.p,)) and _finite_numbers((self.q,), kinds="biufc")):
             raise DomainError(f"XY family needs finite p and q, got {self.p!r}, {self.q!r}")
         r = float(xy_positivity(self.p, self.q))
         if r > FEASIBILITY_TOL:
@@ -80,12 +80,47 @@ class XYFamilyParams:
             )
 
 
-def unchecked_density(elements: np.ndarray) -> DensityMatrix:
-    """Wrap a matrix as a DensityMatrix without validating the invariants."""
-    arr = np.array(elements, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
+def _finite_numbers(values, kinds: str = "biuf") -> bool:
+    """Whether `values` is a flat sequence of finite numbers of the numpy dtype
+    kinds `kinds` (real by default); False for strings, None, nested or ragged
+    sequences and complex values where real ones are asked for."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        return False
+    return (arr.shape == (len(values),) and arr.dtype.kind in kinds
+            and bool(np.isfinite(arr).all()))
+
+
+def _as_complex(obj, copy: bool = False) -> np.ndarray:
+    """obj as a complex ndarray: the package's one conversion of matrix input.
+
+    Without `copy`, a complex ndarray is returned as it is.  Raises
+    DomainError for a ragged sequence or a non-numeric input (strings,
+    None, objects).
+    """
+    try:
+        arr = np.asarray(obj)
+    except ValueError as exc:  # a ragged sequence
+        raise DomainError(f"expected a numeric array: {exc}") from exc
+    if arr.dtype.kind not in "biufc":
+        raise DomainError(f"expected a numeric array, got dtype {arr.dtype}")
+    return arr.astype(complex, copy=copy)
+
+
+def _read_only(obj) -> np.ndarray:
+    """A read-only complex copy of obj: the form every record stores its arrays in."""
+    arr = _as_complex(obj, copy=True)
     arr.setflags(write=False)
+    return arr
+
+
+def unchecked_density(elements: np.ndarray) -> DensityMatrix:
+    """Wrap a read-only complex copy of a non-empty square matrix as a
+    DensityMatrix without validating the invariants."""
+    arr = _read_only(elements)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
     return DensityMatrix(dim=arr.shape[0], elements=arr)
 
 
@@ -104,7 +139,10 @@ def new_density(elements: np.ndarray) -> DensityMatrix:
     Raises
     ------
     DomainError
-        If any element is NaN or infinite.
+        If the input is ragged or not numeric, or any element is NaN or
+        infinite.
+    DimensionMismatchError
+        If the matrix is not square.
     NonHermitianError
         If any element differs from the conjugate of its transpose partner
         by more than 1e-12.
@@ -113,9 +151,8 @@ def new_density(elements: np.ndarray) -> DensityMatrix:
     NotPositiveError
         If the smallest eigenvalue is below -1e-10.
     """
-    arr = np.array(elements, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
+    rho = unchecked_density(elements)
+    arr = rho.elements
 
     bad = np.count_nonzero(~np.isfinite(arr))
     if bad:
@@ -132,9 +169,7 @@ def new_density(elements: np.ndarray) -> DensityMatrix:
     min_eig = float(np.linalg.eigvalsh(arr).min())
     if min_eig < -POSITIVITY_TOL:
         raise NotPositiveError(f"smallest eigenvalue {min_eig!r} is below -{POSITIVITY_TOL}")
-
-    arr.setflags(write=False)
-    return DensityMatrix(dim=arr.shape[0], elements=arr)
+    return rho
 
 
 def werner_state(params: WernerParams) -> DensityMatrix:

@@ -37,7 +37,7 @@ from .errors import (
     SeparableRegionError,
 )
 from .lindblad import ModelParams, Trajectory
-from .qstate import DensityMatrix, WernerParams, XYFamilyParams
+from .qstate import DensityMatrix, WernerParams, XYFamilyParams, _as_complex
 
 SEPARABLE_TOL = 1e-6
 XY_SEPARABLE_TOL = 1e-8
@@ -78,7 +78,7 @@ def rate_chain(rho: DensityMatrix, rho_dot: np.ndarray) -> RateBreakdown:
     rho_dot must be a finite 4x4 matrix.  Propagates KinkRegionError where
     the gradient is undefined.
     """
-    rho_dot = np.asarray(rho_dot, dtype=complex)
+    rho_dot = _as_complex(rho_dot)
     if rho_dot.shape != (4, 4):
         raise DimensionMismatchError(f"rho_dot must be 4x4, got shape {rho_dot.shape}")
     if not np.isfinite(rho_dot).all():

@@ -163,6 +163,28 @@ class TestEffectiveHamiltonian:
         with pytest.raises(DomainError):
             build_effective_hamiltonian({(0, 0): np.eye(2)}, [np.nan])
 
+    @pytest.mark.parametrize("h_e", [np.zeros((2, 3)), np.zeros(4), np.zeros((0, 0))],
+                             ids=["2x3", "vector", "empty"])
+    def test_must_be_a_square_matrix(self, h_e):
+        with pytest.raises(DimensionMismatchError):
+            EffectiveHamiltonian(h_e)
+        with pytest.raises(DimensionMismatchError):
+            build_effective_hamiltonian({(0, 0): h_e}, [1.0])
+
+    def test_must_be_finite(self):
+        with pytest.raises(DomainError):
+            EffectiveHamiltonian(np.diag([np.inf, 0.0]))
+
+    def test_holds_a_read_only_copy_of_the_callers_array(self):
+        h = xy_hamiltonian(1.0, 0.2)
+        he = EffectiveHamiltonian(h)
+        rho = new_density(random_density_matrix(np.random.default_rng(5)))
+        want = evolve_effective(he, rho, 0.5, 0.1).elements
+        h[1, 2] = h[2, 1] = 0.7
+        assert evolve_effective(he, rho, 0.5, 0.1).elements.tobytes() == want.tobytes()
+        assert he.h_e.dtype == complex
+        assert not he.h_e.flags.writeable
+
 
 class TestEvolveEffective:
     def test_zero_generator_is_constant(self):

@@ -77,6 +77,62 @@ def test_model_requires_finite_channel_operators():
         LindbladModel(h0=np.zeros((2, 2)), channels=((x_minus, 0.1, 0.0),))
 
 
+@pytest.mark.parametrize("args", [("a", 0.2), ("1.0", 0.2), (None, 0.2), (1.0, 0.2, [0.1]),
+                                  (1.0j, 0.2)],
+                         ids=["string", "numeric-string", "none", "list", "complex"])
+def test_model_params_must_be_real_numbers(args):
+    with pytest.raises(DomainError):
+        ModelParams(*args)
+
+
+@pytest.mark.parametrize("channels", [((LOWER, 0.1),), (LOWER,), (0.1,), None],
+                         ids=["pair", "bare-operator", "number", "none"])
+def test_channel_entries_must_be_triples(channels):
+    with pytest.raises(DimensionMismatchError):
+        LindbladModel(h0=np.zeros((2, 2)), channels=channels)
+
+
+@pytest.mark.parametrize("rate", ["0.1", None, 0.1j, [0.1]],
+                         ids=["numeric-string", "none", "complex", "list"])
+def test_channel_rates_must_be_real_numbers(rate):
+    with pytest.raises(DomainError):
+        LindbladModel(h0=np.zeros((2, 2)), channels=((LOWER, rate, 0.0),))
+
+
+def _mixed_model_inputs():
+    """An XY Hamiltonian and a lowering operator: the caller's arrays."""
+    return xy_hamiltonian(0.9, 0.3), np.kron(LOWER, np.eye(2))
+
+
+def test_model_holds_copies_of_the_callers_arrays():
+    h0, x_minus = _mixed_model_inputs()
+    model = LindbladModel(h0=h0, channels=((x_minus, 0.2, 0.1),))
+    rho = new_density(random_density_matrix(np.random.default_rng(2)))
+    rhs, gen = rhs_generic(model, rho), liouvillian(model)
+    h0 += np.eye(4)
+    x_minus[0, 1] = 5.0
+    assert rhs_generic(model, rho).tobytes() == rhs.tobytes()
+    assert liouvillian(model).tobytes() == gen.tobytes()
+
+
+def test_model_arrays_are_read_only():
+    h0, x_minus = _mixed_model_inputs()
+    model = LindbladModel(h0=h0, channels=((x_minus, 0.2, 0.1),))
+    for arr in (model.h0, model.channels[0][0]):
+        assert arr.dtype == complex
+        assert not arr.flags.writeable
+
+
+def test_nested_lists_build_the_same_model_bitwise():
+    h0, x_minus = _mixed_model_inputs()
+    from_arrays = LindbladModel(h0=h0, channels=((x_minus, 0.2, 0.1),))
+    from_lists = LindbladModel(h0=h0.tolist(), channels=[[x_minus.tolist(), 0.2, 0.1]])
+    rho = new_density(random_density_matrix(np.random.default_rng(3)))
+    for model_fn in (lambda m: rhs_generic(m, rho), liouvillian,
+                     lambda m: integrate(m, rho, 0.5, 0.1).elements):
+        assert model_fn(from_lists).tobytes() == model_fn(from_arrays).tobytes()
+
+
 def test_generic_rhs_commuting_case_is_zero():
     model = LindbladModel(h0=np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
     rho = new_density(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))

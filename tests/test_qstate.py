@@ -63,6 +63,16 @@ class TestNewDensity:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
             new_density(np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            new_density(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("build", [new_density, unchecked_density])
+    @pytest.mark.parametrize("elements", ["abc", [[0.5, 0.0], [0.0]], None,
+                                          [["0.5", "0"], ["0", "0.5"]]],
+                             ids=["string", "ragged", "none", "numeric-strings"])
+    def test_ragged_or_non_numeric_input_rejected(self, build, elements):
+        with pytest.raises(DomainError):
+            build(elements)
 
     def test_random_states_validate(self):
         rng = np.random.default_rng(7)
@@ -84,6 +94,12 @@ class TestWernerState:
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(DomainError):
             WernerParams(bad, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("first", ["a", "0.25", None, [0.25]],
+                             ids=["string", "numeric-string", "none", "list"])
+    def test_non_numeric_weight_rejected(self, first):
+        with pytest.raises(DomainError):
+            WernerParams(first, 0.25, 0.25, 0.25)
 
     def test_pure_central_bell_state(self):
         # weights (1,0,0,0): central block (a+b)/2 = 1/2, off-diagonal (b-a)/2 = -1/2
@@ -125,6 +141,13 @@ class TestXYState:
     @pytest.mark.parametrize("p,q", [(np.nan, 0.1j), (0.5, complex(np.nan, 0.1)),
                                      (0.5, complex(0.1, np.inf))])
     def test_non_finite_parameters_rejected(self, p, q):
+        with pytest.raises(DomainError):
+            XYFamilyParams(p, q)
+
+    @pytest.mark.parametrize("p,q", [(0.5, "x"), ("0.5", 0.1j), (None, 0.1j), (0.5 + 0.1j, 0.1j),
+                                     ([0.5], 0.1j)],
+                             ids=["string-q", "numeric-string-p", "none-p", "complex-p", "list-p"])
+    def test_non_numeric_parameters_rejected(self, p, q):
         with pytest.raises(DomainError):
             XYFamilyParams(p, q)
 

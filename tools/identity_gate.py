@@ -1,4 +1,5 @@
-"""Output identity gate: fingerprint the CLI's output on the benchmark's argv.
+"""Output identity gate: fingerprint the CLI's output on the benchmark's argv,
+and the library pipeline's results on the benchmark's bipartite states.
 
 Runs, in one process, every argv the benchmark generates for seeds 1-3: the
 sweep and dynamics warm-ups, the first two cycles of each, and the dynamics
@@ -6,9 +7,16 @@ input probe (819 argv).  For each it prints one line:
 
     <exit code> <sha256 of stdout> <sha256 of stderr> <argv as JSON>
 
-The argv come from bench/workloads.py, which is only imported.  entrate is
-imported from PYTHONPATH, so running the gate under two source trees and
-diffing the outputs shows every argv whose bytes changed:
+Then it runs the bipartite pipeline (`_pipeline` of bench/worker.py) on the
+bipartite warm-up and first two cycles of seeds 1-3 (57 operations), and
+prints for each one line:
+
+    <sha256 of the result arrays, or the exception class> <operation label as JSON>
+
+The argv and states come from bench/workloads.py, and the pipeline from
+bench/worker.py, which are only imported.  entrate is imported from
+PYTHONPATH, so running the gate under two source trees and diffing the
+outputs shows every operation whose result changed:
 
     PYTHONPATH=src python tools/identity_gate.py > new.txt
     PYTHONPATH=/path/to/other/src python tools/identity_gate.py > old.txt
@@ -25,6 +33,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+import numpy as np  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 from entrate import cli  # noqa: E402
 
@@ -43,6 +53,26 @@ def gate_argv():
         yield from (op.argv for op in workloads.probe_ops("dynamics", seed))
 
 
+def pipeline_ops():
+    """The bipartite operations in gate order: per seed, the warm-up and
+    first cycles."""
+    for seed in SEEDS:
+        yield workloads.warmup_op("bipartite", seed)
+        for cycle in itertools.islice(workloads.cycles("bipartite", seed), CYCLES):
+            yield from cycle
+
+
+def result_digest(result: dict) -> str:
+    """sha256 over the pipeline's result arrays, keys in sorted order."""
+    digest = hashlib.sha256()
+    for key in sorted(result):
+        value = result[key]
+        for arr in value if isinstance(value, tuple) else (value,):
+            arr = np.asarray(getattr(arr, "elements", arr))
+            digest.update(f"{key} {arr.dtype} {arr.shape}".encode() + arr.tobytes())
+    return digest.hexdigest()
+
+
 def run(argv) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process main call."""
     out, err = io.StringIO(), io.StringIO()
@@ -59,6 +89,12 @@ def main() -> int:
         code, out, err = run(argv)
         digests = (hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
         print(code, *digests, json.dumps(list(argv)))
+    for op in pipeline_ops():
+        try:
+            fingerprint = result_digest(worker._pipeline(op.spec))
+        except Exception as exc:
+            fingerprint = type(exc).__name__
+        print(fingerprint, json.dumps(op.label()))
     return 0
 
 
