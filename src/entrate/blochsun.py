@@ -10,12 +10,14 @@ gradient over (alpha, beta, gamma) with the coefficient rates.
 """
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
-from .qstate import DensityMatrix, _as_complex, new_density
+from .errors import DimensionMismatchError, DomainError, NonFiniteError
+from .qstate import DensityMatrix, _as_complex, _as_float, new_density
 
 REALITY_TOL = 1e-12
 
@@ -37,15 +39,32 @@ class BlochDecomposition:
     gamma_ij: np.ndarray
 
 
-@functools.cache
+def _size(n) -> int:
+    """n as an int; DomainError unless it is an integer (an int or a numpy
+    integer, not a float or a string)."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"a subsystem dimension must be an integer, got {n!r}") from None
+
+
 def gell_mann_basis(n: int) -> GeneratorBasis:
     """Generalized Gell-Mann generators of SU(n), Tr(s_i s_j) = 2 d_ij.
 
     Ordering: symmetric pair matrices, antisymmetric pair matrices, then
-    the diagonal ladder; for n = 2 this is exactly (sx, sy, sz).
+    the diagonal ladder; for n = 2 this is exactly (sx, sy, sz).  n must be
+    an integer of at least 2 (DomainError), checked before the cache is
+    consulted, so 2.0 does not find the basis of 2.
     """
+    n = _size(n)
     if n < 2:
         raise DomainError(f"generator basis needs n >= 2, got {n}")
+    return _gell_mann_basis(n)
+
+
+@functools.cache
+def _gell_mann_basis(n: int) -> GeneratorBasis:
+    """gell_mann_basis for a checked n, built once per n."""
     j, k = np.triu_indices(n, 1)  # the pairs j < k, row-major
     pair, level, i = np.arange(len(j)), np.arange(1, n), np.arange(n)
     gens = np.zeros((n * n - 1, n, n), dtype=complex)
@@ -85,6 +104,7 @@ def _coefficients(mat: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarr
 
 def decompose(rho: DensityMatrix, n: int, m: int) -> BlochDecomposition:
     """Expand a state of an n x m system into Bloch coefficient blocks."""
+    n, m = _size(n), _size(m)
     if rho.dim != n * m:
         raise DimensionMismatchError(f"state dim {rho.dim} is not {n} * {m}")
     alpha, beta, gamma = _coefficients(rho.elements, n, m)
@@ -120,10 +140,14 @@ def coefficient_rates(
 
     Same trace normalization as :func:`decompose`, so that
     decompose(rho(t + h)) - decompose(rho(t)) = h * rates + O(h^2).
+    rho_dot must be finite (DomainError).
     """
+    n, m = _size(n), _size(m)
     rho_dot = _as_complex(rho_dot)
     if rho_dot.shape != (n * m, n * m):
         raise DimensionMismatchError(f"rho_dot shape {rho_dot.shape} is not ({n * m}, {n * m})")
+    if not np.isfinite(rho_dot).all():
+        raise DomainError("rho_dot must be finite")
     return _coefficients(rho_dot, n, m)
 
 
@@ -131,14 +155,30 @@ def rate_bloch(
     grad: tuple[np.ndarray, np.ndarray, np.ndarray],
     rates: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> float:
-    """Contract a measure gradient with coefficient rates across all blocks."""
+    """Contract a measure gradient with coefficient rates across all blocks.
+
+    grad and rates must be sequences of equally many blocks
+    (DimensionMismatchError), each a finite real array (DomainError).  A
+    contraction beyond the float range raises NonFiniteError.
+    """
+    try:
+        blocks = list(zip(grad, rates, strict=True))
+    except (TypeError, ValueError) as exc:  # not iterable, or of unequal lengths
+        raise DimensionMismatchError(
+            f"gradient and rates must be sequences of equally many blocks: {exc}"
+        ) from exc
     total = 0.0
-    for g_block, r_block in zip(grad, rates):
-        g_arr = np.asarray(g_block, dtype=float)
-        r_arr = np.asarray(r_block, dtype=float)
+    for g_block, r_block in blocks:
+        g_arr = _as_float(g_block)
+        r_arr = _as_float(r_block)
         if g_arr.shape != r_arr.shape:
             raise DimensionMismatchError(
                 f"gradient block {g_arr.shape} does not match rate block {r_arr.shape}"
             )
-        total += float((g_arr * r_arr).sum())
+        if not (np.isfinite(g_arr).all() and np.isfinite(r_arr).all()):
+            raise DomainError("gradient and rate blocks must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += float((g_arr * r_arr).sum())
+    if not math.isfinite(total):
+        raise NonFiniteError(f"the contraction is not finite: {total!r}")
     return total

@@ -25,7 +25,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entanglement import _eof_and_spectra, eof  # noqa: F401  eof is patched by bench/tracing.py
+from .entanglement import (  # noqa: F401  eof is patched by bench/tracing.py
+    _concurrence_raw,
+    _eof_and_spectra,
+    _eof_of_concurrence,
+    _eof_slopes,
+    eof,
+)
 from .errors import (
     DegenerateDirectionError,
     EntrateError,
@@ -51,8 +57,9 @@ from .qstate import (
     xy_positivity,
     xy_state,
 )
-from .rate import (
+from .rate import (  # noqa: F401  rate_chain and rate_numeric are patched by bench/tracing.py
     _central_difference,
+    _checked_rho_dot,
     criterion_threshold_value,
     rate_chain,
     rate_numeric,
@@ -374,18 +381,25 @@ def cmd_evolve(args) -> str:
 # ---------------------------------------------------------------- rate
 
 def _three_route_report(rho0, closed, params, dt) -> list[tuple[str, float]]:
+    """The closed form, the chain rule along rhs_damped_xy and the central
+    difference over (0, 2 dt), from one concurrence pass over rho0 and
+    rho(2 dt): rate_chain's total and rate_numeric(traj, 1) without
+    recomputing either state's spectrum."""
     if not math.isfinite(2 * dt):
         raise ParseError(f"--dt {dt!r} is out of range: the numeric route integrates to "
                          "2 * dt, which overflows")
     traj = integrate(params, rho0, 2 * dt, dt)
-    lines = [("rate_closed_form", closed)]
+    rho_dot = _checked_rho_dot(rhs_damped_xy(params, rho0))
+    ends = traj.elements[[0, 2]]  # ends[0] is rho0
+    c, lam, _ = _concurrence_raw(ends)
     try:
-        chain = rate_chain(rho0, rhs_damped_xy(params, rho0)).gamma_total
-        lines.append(("rate_chain", chain))
+        chain = _eof_slopes(ends[0], c[0], lam[0], rho_dot[None])[0]
     except KinkRegionError:
-        lines.append(("rate_chain", None))
-    lines.append(("rate_numeric_at_dt", rate_numeric(traj, 1)))
-    return lines
+        chain = None
+    e_minus, e_plus = _eof_of_concurrence(c)
+    numeric = _central_difference(e_minus, e_plus, *traj.times[[0, 2]])
+    return [("rate_closed_form", closed), ("rate_chain", chain),
+            ("rate_numeric_at_dt", numeric)]
 
 
 def cmd_rate(args) -> str:

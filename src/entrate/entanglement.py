@@ -1,4 +1,4 @@
-"""Wootters concurrence, entanglement of formation, and element-wise gradients.
+"""Wootters concurrence, entanglement of formation, and its directional derivatives.
 
 The concurrence of a two-qubit state is
     c = max(0, l1 - l2 - l3 - l4),
@@ -18,10 +18,10 @@ from .errors import (
     EigenFailureError,
     KinkRegionError,
 )
-from .qstate import DensityMatrix, WernerParams, _as_complex
+from .qstate import DensityMatrix, WernerParams, _as_complex, _finite_numbers
 
 KINK_TOL = 1e-6
-# eof_gradient treats a lambda at or below this as zero (see its docstring).
+# _eof_slopes treats a lambda at or below this as zero (see its docstring).
 ZERO_LAMBDA_TOL = 1e-9
 # Raw-path inputs may carry short backward-extrapolation residue (about
 # gamma * dt); anything more negative than this is a genuinely bad matrix.
@@ -30,6 +30,12 @@ LN2 = float(np.log(2.0))
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_SY, _SY).real  # sy x sy is a real signed permutation
+
+
+def _flip(mats: np.ndarray) -> np.ndarray:
+    """(sy x sy) conj(m) (sy x sy) of every matrix m in a (..., 4, 4) stack."""
+    return _SYY @ mats.conj() @ _SYY
+
 
 # The 16 independent elements of a 4x4 Hermitian matrix, in the one order
 # the package uses: (i, j) row-major with j >= i, the diagonal rho_ii as one
@@ -43,8 +49,6 @@ _DIRECTIONS = np.zeros((16, 4, 4), dtype=complex)
 _DIRECTIONS[np.arange(16), _COL, _ROW] = np.where(_PART, -1j, 1.0)
 _DIRECTIONS[np.arange(16), _ROW, _COL] = np.where(_PART, 1j, 1.0)
 _DIRECTIONS.setflags(write=False)
-_DIRECTIONS_TILDE = _SYY @ _DIRECTIONS.conj() @ _SYY
-_DIRECTIONS_TILDE.setflags(write=False)
 _CONCURRENCE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 # The upper-triangle elements an X-state has zero: rho_12, rho_13, rho_24, rho_34.
 _OFF_X = ([0, 0, 1, 2], [1, 2, 3, 3])
@@ -73,7 +77,7 @@ def spin_flip(rho: DensityMatrix) -> np.ndarray:
     """Return rho_tilde = (sy x sy) conj(rho) (sy x sy)."""
     if rho.dim != 4:
         raise DimensionMismatchError(f"spin flip needs dim 4, got {rho.dim}")
-    return _SYY @ rho.elements.conj() @ _SYY
+    return _flip(rho.elements)
 
 
 def _concurrence_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,16 +125,21 @@ def _entropy(x: np.ndarray) -> np.ndarray:
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:  # NaN fails too
+    if not (_finite_numbers((x,)) and 0.0 <= x <= 1.0):
         raise DomainError(f"binary entropy needs x in [0, 1], got {x!r}")
     return float(_entropy(x))
 
 
+def _eof_of_concurrence(c: np.ndarray) -> np.ndarray:
+    """E = h((1 + sqrt(1 - c^2)) / 2), elementwise: the one E formula."""
+    return _entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)
+
+
 def _eof_and_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E = h((1 + sqrt(1 - c^2)) / 2) of every state in a complex (..., 4, 4)
-    stack, and the states' ascending spectra."""
+    """E of every state in a complex (..., 4, 4) stack, and the states'
+    ascending spectra."""
     c, _, w = _concurrence_raw(mats)
-    return _entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0), w
+    return _eof_of_concurrence(c), w
 
 
 def eof_many(mats) -> np.ndarray:
@@ -158,32 +167,26 @@ def _measure_slope(c):
     return np.where(u == 0.0, c / LN2, slope)
 
 
-def eof_gradient(rho: DensityMatrix) -> MeasureGradient:
-    """Exact gradient of eof over the independent elements.
+def _eof_slopes(mat: np.ndarray, c, lam: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """dE along each direction D of a (k, 4, 4) stack, at the 4x4 state mat.
 
-    Each independent element rho_ij (j >= i) moves with its Hermitian
-    partner rho_ji following along; no trace constraint is enforced.  With
-    R = rho rho_tilde = X diag(mu) X^-1 from one eigendecomposition, a
-    direction D moves R by dR = D rho_tilde + rho D_tilde, and to first
-    order dmu_i = (X^-1 dR X)_ii (Magnus, Econometric Theory 1, 179 (1985)).
-    Then dl_i = dmu_i / (2 l_i), dc = dl_1 - dl_2 - dl_3 - dl_4 and
-    dE = dE/dc dc.  Over a cluster of equal l_i only the sum of the dmu_i
-    enters, and it does not depend on the basis eig picks.
+    c and lam are mat's concurrence and lambdas from `_concurrence_raw`.  With
+    R = rho rho_tilde = X diag(mu) X^-1 from one eigendecomposition, D moves R
+    by dR = D rho_tilde + rho D_tilde, and to first order dmu_i = (X^-1 dR X)_ii
+    (Magnus, Econometric Theory 1, 179 (1985)).  Then dl_i = dmu_i / (2 l_i),
+    dc = dl_1 - dl_2 - dl_3 - dl_4 and dE = dE/dc dc.  Over a cluster of equal
+    l_i only the sum of the dmu_i enters, and it does not depend on the basis
+    eig picks.
 
     A lambda at or below ZERO_LAMBDA_TOL has no first-order derivative.  On
     an X-state (rho_12, rho_13, rho_24, rho_34 exactly zero) it contributes
     0, as it does to a symmetric difference quotient; this misses a zero
     lambda that grows linearly, as at 0.8|00> + 0.6|11> under damping.  On
     any other state E has a one-sided kink there, and KinkRegionError is
-    raised.
-
-    Raises KinkRegionError when c <= 1e-6: the concurrence has a kink at
-    c = 0 and one-sided derivatives there are direction-dependent.
+    raised.  KinkRegionError is also raised when c <= KINK_TOL: the
+    concurrence has a kink at c = 0 and one-sided derivatives there are
+    direction-dependent.
     """
-    if rho.dim != 4:
-        raise DimensionMismatchError(f"eof gradient needs dim 4, got {rho.dim}")
-    mat = rho.elements
-    c, lam, _ = _concurrence_raw(mat)
     if c <= KINK_TOL:
         raise KinkRegionError(
             f"concurrence {float(c)!r} is within {KINK_TOL} of the c = 0 kink"
@@ -195,17 +198,32 @@ def eof_gradient(rho: DensityMatrix) -> MeasureGradient:
             f"{ZERO_LAMBDA_TOL} of 0, where the measure has a one-sided kink"
         )
 
-    tilde = spin_flip(rho)
+    tilde = _flip(mat)
     try:
         mu, x = np.linalg.eig(mat @ tilde)
         x = x[:, np.argsort(-mu.real)]  # the order of lam, which decreases
         x_inv = np.linalg.inv(x)
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigendecomposition of rho rho_tilde failed: {exc}") from exc
-    d_mu = np.einsum("kil,li->ki", x_inv @ (_DIRECTIONS @ tilde + mat @ _DIRECTIONS_TILDE), x)
+    d_mu = np.einsum("kil,li->ki", x_inv @ (directions @ tilde + mat @ _flip(directions)), x)
     d_lam = np.where(zero, 0.0, d_mu.real / (2.0 * np.where(zero, 1.0, lam)))
+    return _measure_slope(c) * (d_lam @ _CONCURRENCE_SIGNS)
+
+
+def eof_gradient(rho: DensityMatrix) -> MeasureGradient:
+    """Exact gradient of eof over the independent elements.
+
+    Each independent element rho_ij (j >= i) moves with its Hermitian
+    partner rho_ji following along; no trace constraint is enforced.  The
+    partials are `_eof_slopes` along the 16 basis directions of the element
+    order.  Raises KinkRegionError where they are undefined (see there).
+    """
+    if rho.dim != 4:
+        raise DimensionMismatchError(f"eof gradient needs dim 4, got {rho.dim}")
+    mat = rho.elements
+    c, lam, _ = _concurrence_raw(mat)
     grad = np.zeros((2, 4, 4))
-    grad[_PART, _ROW, _COL] = _measure_slope(c) * (d_lam @ _CONCURRENCE_SIGNS)
+    grad[_PART, _ROW, _COL] = _eof_slopes(mat, c, lam, _DIRECTIONS)
     grad.setflags(write=False)
     return MeasureGradient(dE_dRe=grad[0], dE_dIm=grad[1])
 

@@ -19,7 +19,7 @@ from .errors import (
     WeightError,
 )
 from .lindblad import LindbladModel, Trajectory, integrate
-from .qstate import DensityMatrix, _as_complex, _read_only, new_density
+from .qstate import DensityMatrix, _as_complex, _hermiticity_defect, _read_only, new_density
 
 COMPLETENESS_TOL = 1e-10
 WEIGHT_TOL = 1e-10
@@ -149,11 +149,12 @@ def evolve_effective(
     integrate raises DimensionMismatchError when H_e and rho0 differ in shape.
     """
     h = h_e.h_e
-    defect = np.abs(h - h.conj().T).max()
+    defect = _hermiticity_defect(h)
     if defect > HERMITICITY_TOL:
         raise NonHermitianError(
             f"effective Hamiltonian Hermiticity defect {defect!r} exceeds {HERMITICITY_TOL}"
         )
     # The Hermitian part passes LindbladModel's tighter Hermiticity check
-    # and leaves an exactly Hermitian H_e unchanged.
-    return integrate(LindbladModel(h0=(h + h.conj().T) / 2.0), rho0, t_end, dt)
+    # and leaves an exactly Hermitian H_e unchanged; halving each term first
+    # keeps it finite for entries near the float limit.
+    return integrate(LindbladModel(h0=h / 2.0 + h.conj().T / 2.0), rho0, t_end, dt)

@@ -34,7 +34,9 @@ from .qstate import (
     HERMITICITY_TOL,
     DensityMatrix,
     _as_complex,
+    _as_float,
     _finite_numbers,
+    _hermiticity_defect,
     _read_only,
     unchecked_density,
 )
@@ -92,7 +94,7 @@ class LindbladModel:
             raise DimensionMismatchError(f"h0 must be a square matrix, got shape {h0.shape}")
         if not np.isfinite(h0).all():
             raise DomainError("h0 must be finite")
-        defect = np.abs(h0 - h0.conj().T).max()
+        defect = _hermiticity_defect(h0)
         if defect > HERMITICITY_TOL:
             raise NonHermitianError(f"h0 Hermiticity defect {defect!r}")
         try:
@@ -127,7 +129,7 @@ class Trajectory:
     elements: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
+        times = _as_float(self.times, copy=True)
         elements = _read_only(self.elements)
         if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
             raise DimensionMismatchError(

@@ -92,6 +92,20 @@ def _finite_numbers(values, kinds: str = "biuf") -> bool:
             and bool(np.isfinite(arr).all()))
 
 
+def _numeric(obj, kinds: str) -> np.ndarray:
+    """obj as an ndarray of one of the numpy dtype kinds `kinds`, without a
+    copy where numpy makes none.  Raises DomainError for a ragged sequence
+    or an input of another kind (strings, None, objects)."""
+    try:
+        arr = np.asarray(obj)
+    except ValueError as exc:  # a ragged sequence
+        raise DomainError(f"expected a numeric array: {exc}") from exc
+    if arr.dtype.kind not in kinds:
+        raise DomainError(f"expected a {'numeric' if 'c' in kinds else 'real'} array, "
+                          f"got dtype {arr.dtype}")
+    return arr
+
+
 def _as_complex(obj, copy: bool = False) -> np.ndarray:
     """obj as a complex ndarray: the package's one conversion of matrix input.
 
@@ -99,13 +113,23 @@ def _as_complex(obj, copy: bool = False) -> np.ndarray:
     DomainError for a ragged sequence or a non-numeric input (strings,
     None, objects).
     """
-    try:
-        arr = np.asarray(obj)
-    except ValueError as exc:  # a ragged sequence
-        raise DomainError(f"expected a numeric array: {exc}") from exc
-    if arr.dtype.kind not in "biufc":
-        raise DomainError(f"expected a numeric array, got dtype {arr.dtype}")
-    return arr.astype(complex, copy=copy)
+    return _numeric(obj, "biufc").astype(complex, copy=copy)
+
+
+def _as_float(obj, copy: bool = False) -> np.ndarray:
+    """obj as a float ndarray: the one conversion of real array input.
+
+    Without `copy`, a float ndarray is returned as it is.  Raises
+    DomainError for a ragged sequence, a non-numeric or a complex input.
+    """
+    return _numeric(obj, "biuf").astype(float, copy=copy)
+
+
+def _hermiticity_defect(mat: np.ndarray) -> np.float64:
+    """max |m_ij - conj(m_ji)| of a finite square matrix, without a warning:
+    a defect beyond the float range reads inf."""
+    with np.errstate(over="ignore"):
+        return np.abs(mat - mat.conj().T).max()
 
 
 def _read_only(obj) -> np.ndarray:
@@ -158,7 +182,7 @@ def new_density(elements: np.ndarray) -> DensityMatrix:
     if bad:
         raise DomainError(f"matrix is not finite in {bad} of {arr.size} elements")
 
-    herm_defect = np.abs(arr - arr.conj().T).max()
+    herm_defect = _hermiticity_defect(arr)
     if herm_defect > HERMITICITY_TOL:
         raise NonHermitianError(f"Hermiticity defect {herm_defect!r} exceeds {HERMITICITY_TOL}")
 

@@ -8,6 +8,8 @@ Routes:
   * rate_chain    -- sum over independent matrix elements of
                      (dE/d rho_ij) (d rho_ij / dt), with the exact gradient
                      of `eof_gradient` (first-order eigenvalue perturbation).
+                     The `rate` report takes the same derivative along
+                     rho_dot alone (`entanglement._eof_slopes`).
   * rate_werner / rate_xy -- closed forms for the two parametric families,
                      exact chain rules of the family concurrences.
 
@@ -70,6 +72,17 @@ def rate_numeric(trajectory: Trajectory, index: int) -> float:
     return _central_difference(e_minus, e_plus, *trajectory.times[[index - 1, index + 1]])
 
 
+def _checked_rho_dot(rho_dot) -> np.ndarray:
+    """rho_dot as a complex array, which must be a finite 4x4 matrix
+    (DimensionMismatchError, DomainError)."""
+    rho_dot = _as_complex(rho_dot)
+    if rho_dot.shape != (4, 4):
+        raise DimensionMismatchError(f"rho_dot must be 4x4, got shape {rho_dot.shape}")
+    if not np.isfinite(rho_dot).all():
+        raise DomainError("rho_dot must be finite")
+    return rho_dot
+
+
 def rate_chain(rho: DensityMatrix, rho_dot: np.ndarray) -> RateBreakdown:
     """Pair the measure gradient with the element derivatives.
 
@@ -78,11 +91,7 @@ def rate_chain(rho: DensityMatrix, rho_dot: np.ndarray) -> RateBreakdown:
     rho_dot must be a finite 4x4 matrix.  Propagates KinkRegionError where
     the gradient is undefined.
     """
-    rho_dot = _as_complex(rho_dot)
-    if rho_dot.shape != (4, 4):
-        raise DimensionMismatchError(f"rho_dot must be 4x4, got shape {rho_dot.shape}")
-    if not np.isfinite(rho_dot).all():
-        raise DomainError("rho_dot must be finite")
+    rho_dot = _checked_rho_dot(rho_dot)
     grad = eof_gradient(rho)
     slopes = np.stack([grad.dE_dRe, grad.dE_dIm])[_PART, _ROW, _COL]
     rates = np.stack([rho_dot.real, rho_dot.imag])[_PART, _ROW, _COL]

@@ -14,10 +14,15 @@ from conftest import random_entangled_mixed
 from entrate import (
     ModelParams,
     WernerParams,
+    XYFamilyParams,
     integrate,
+    rate_chain,
     rate_numeric,
     rate_werner,
     rate_xy_value,
+    rhs_damped_xy,
+    werner_state,
+    xy_state,
 )
 from entrate.cli import _finite_float, build_parser, main
 from entrate.errors import DomainError, SeparableRegionError
@@ -360,6 +365,49 @@ class TestRateCommand:
         assert out == ""
         assert err.startswith("error: --dt 1e+308")
         assert "t_end" not in err
+
+
+class TestRateReportRoutes:
+    """The report's chain and numeric lines come from one concurrence pass over
+    rho0 and rho(2 dt); they are checked against the library's routes."""
+
+    PARAMS = ModelParams(0.7, 0.3, 0.05)
+    DT = 1e-3
+
+    def report(self, capsys, *point):
+        p = self.PARAMS
+        code, out, _ = run_cli(capsys, "rate", *point, "--omega", repr(p.omega), "--g", repr(p.g),
+                               "--gamma", repr(p.gamma), "--dt", repr(self.DT), "--format", "json")
+        assert code == 0
+        return json.loads(out)["values"]
+
+    @pytest.mark.parametrize("point, rho0", [
+        (("--p", "0.6", "--qi", "0.3"), xy_state(XYFamilyParams(0.6, 0.3j))),
+        (("--p", "0.7", "--qr", "-0.1", "--qi", "0.2"), xy_state(XYFamilyParams(0.7, -0.1 + 0.2j))),
+        (("--p", "0.5", "--qi", "0.5"), xy_state(XYFamilyParams(0.5, 0.5j))),  # C = 1
+        (("--a", "0.7", "--cd", "0.2"), werner_state(WernerParams(0.7, 0.1, 0.1, 0.1))),
+        (("--a", "1", "--cd", "0"), werner_state(WernerParams(1.0, 0.0, 0.0, 0.0))),  # C = 1
+    ])
+    def test_routes_equal_the_library_routes(self, capsys, point, rho0):
+        vals = self.report(capsys, *point)
+        traj = integrate(self.PARAMS, rho0, 2 * self.DT, self.DT)
+        assert vals["rate_numeric_at_dt"] == rate_numeric(traj, 1)  # bitwise
+        chain = rate_chain(rho0, rhs_damped_xy(self.PARAMS, rho0)).gamma_total
+        assert vals["rate_chain"] == pytest.approx(chain, rel=1e-12, abs=0)
+
+    def test_kink_point_reads_undefined(self, capsys):
+        # C = 2e-7 is within KINK_TOL = 1e-6 of the c = 0 kink
+        vals = self.report(capsys, "--p", "0.6", "--qi", "1e-7")
+        assert vals["rate_chain"] is None
+        assert vals["rate_closed_form"] > 0
+
+    def test_non_finite_rho_dot_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(entrate.cli, "rhs_damped_xy",
+                            lambda params, rho: np.full((4, 4), np.nan))
+        code, out, err = run_cli(capsys, "rate", "--p", "0.6", "--qi", "0.3")
+        assert code == 2
+        assert out == ""
+        assert "rho_dot must be finite" in err
 
 
 class TestCriterionCommand:

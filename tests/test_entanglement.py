@@ -22,7 +22,18 @@ from entrate import (
     werner_state,
     xy_state,
 )
-from entrate.entanglement import _COL, _DIRECTIONS, _PART, _ROW, INPUT_PSD_FLOOR
+from entrate.entanglement import (
+    _COL,
+    _CONCURRENCE_SIGNS,
+    _DIRECTIONS,
+    _PART,
+    _ROW,
+    _SYY,
+    INPUT_PSD_FLOOR,
+    ZERO_LAMBDA_TOL,
+    _concurrence_raw,
+    _measure_slope,
+)
 from entrate.errors import (
     DimensionMismatchError,
     DomainError,
@@ -41,6 +52,23 @@ def central_difference_gradient(mat, h=1e-6):
     e = eof_many(np.concatenate([mat + step, mat - step]))
     grad = np.zeros((2, 4, 4))
     grad[_PART, _ROW, _COL] = (e[:16] - e[16:]) / (2 * h)
+    return grad
+
+
+def gradient_in_one_body(mat):
+    """Reference for eof_gradient: its arithmetic written out in one body, as
+    it was before the directional kernel was split out."""
+    c, lam, _ = _concurrence_raw(mat)
+    zero = lam <= ZERO_LAMBDA_TOL
+    tilde = _SYY @ mat.conj() @ _SYY
+    directions_tilde = _SYY @ _DIRECTIONS.conj() @ _SYY
+    mu, x = np.linalg.eig(mat @ tilde)
+    x = x[:, np.argsort(-mu.real)]
+    x_inv = np.linalg.inv(x)
+    d_mu = np.einsum("kil,li->ki", x_inv @ (_DIRECTIONS @ tilde + mat @ directions_tilde), x)
+    d_lam = np.where(zero, 0.0, d_mu.real / (2.0 * np.where(zero, 1.0, lam)))
+    grad = np.zeros((2, 4, 4))
+    grad[_PART, _ROW, _COL] = _measure_slope(c) * (d_lam @ _CONCURRENCE_SIGNS)
     return grad
 
 
@@ -200,6 +228,16 @@ class TestEofMany:
 
 
 class TestEofGradient:
+    def test_equals_the_one_body_reference_bitwise(self):
+        rng = np.random.default_rng(59)
+        fixtures = [werner_state(WernerParams(0.7, 0.1, 0.1, 0.1)),
+                    xy_state(XYFamilyParams(0.6, 0.3j)), PSI_PLUS]
+        randoms = [as_state(random_entangled_mixed(rng)) for _ in range(200)]
+        for rho in fixtures + randoms:
+            grad = eof_gradient(rho)
+            got = np.stack([grad.dE_dRe, grad.dE_dIm])
+            assert got.tobytes() == gradient_in_one_body(rho.elements).tobytes()
+
     def test_werner_central_coherence_slope_is_negative(self):
         grad = eof_gradient(werner_state(WernerParams(0.7, 0.1, 0.1, 0.1)))
         # rho23 = -0.3; pushing it toward zero lowers |rho23| and hence E

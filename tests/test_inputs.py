@@ -1,7 +1,8 @@
 """Library inputs end in a result or an EntrateError.
 
-Covers the names that convert matrix input (one rule, `qstate._as_complex`)
-and the scalar parameter records.
+Covers the names that convert matrix input (one rule, `qstate._as_complex`),
+real array input (`qstate._as_float`) and integer sizes, the Hermiticity
+checks near the float limit, and the scalar parameter records.
 """
 
 import warnings
@@ -17,21 +18,33 @@ from entrate import (
     EffectiveHamiltonian,
     LindbladModel,
     ModelParams,
+    Trajectory,
     WernerParams,
     XYFamilyParams,
+    binary_entropy,
     coefficient_rates,
+    decompose,
     eof_many,
     evolve_effective,
+    gell_mann_basis,
     liouvillian,
     new_density,
+    rate_bloch,
     rate_chain,
     unchecked_density,
     xy_state,
 )
-from entrate.errors import DomainError, EntrateError
+from entrate.errors import (
+    DimensionMismatchError,
+    DomainError,
+    EntrateError,
+    NonFiniteError,
+    NonHermitianError,
+)
 
 ENTANGLED = xy_state(XYFamilyParams(0.6, 0.3j))
 MIXED_QUBIT = new_density(np.eye(2) / 2)
+MIXED_PAIR = new_density(np.eye(4) / 4)
 
 MATRIX_ARGUMENT_CALLS = {
     "eof_many": eof_many,
@@ -55,6 +68,83 @@ def test_eof_many_does_not_copy_a_complex_stack(monkeypatch):
     stack = np.tile(np.eye(4, dtype=complex) / 4, (3, 1, 1))
     eof_many(stack)
     assert seen[0] is stack
+
+
+def test_coefficient_rates_refuses_a_non_finite_rho_dot():
+    with pytest.raises(DomainError):
+        coefficient_rates(np.full((4, 4), np.nan), 2, 2)
+
+
+@pytest.mark.parametrize("grad, rates, error", [
+    (None, None, DimensionMismatchError),
+    ((np.zeros(3),), (np.zeros(3), np.zeros(3)), DimensionMismatchError),
+    (([np.inf],), ([0.0],), DomainError),
+    (([1e308],), ([1e308],), NonFiniteError),
+], ids=["not-blocks", "unequal-counts", "non-finite", "overflow"])
+def test_rate_bloch_blocks(grad, rates, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            rate_bloch(grad, rates)
+
+
+REAL_ARRAY_CALLS = {
+    "Trajectory times": lambda: Trajectory(times="ab", elements=np.tile(np.eye(2) / 2, (2, 1, 1))),
+    "Trajectory complex times": lambda: Trajectory(times=[0.0, 1j],
+                                                   elements=np.tile(np.eye(2) / 2, (2, 1, 1))),
+    "rate_bloch": lambda: rate_bloch(("a",), ([1.0],)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ARRAY_CALLS))
+def test_real_arrays_follow_the_one_conversion(name):
+    with pytest.raises(DomainError):
+        REAL_ARRAY_CALLS[name]()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gell_mann_basis(2.5),
+    lambda: decompose(MIXED_PAIR, 2, 2.0),
+    lambda: coefficient_rates(np.zeros((4, 4)), 2.0, 2),
+    lambda: binary_entropy("x"),
+    lambda: binary_entropy(0.5j),
+], ids=["gell_mann_basis", "decompose", "coefficient_rates", "binary_entropy",
+        "binary_entropy complex"])
+def test_non_integer_sizes_and_non_real_entropy_arguments(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_a_float_size_does_not_find_the_cached_basis():
+    gell_mann_basis(2)
+    with pytest.raises(DomainError):
+        gell_mann_basis(2.0)
+
+
+NEAR_LIMIT = np.array([[1e308, 1e308], [-1e308, 0.0]])  # h - h^dagger overflows
+
+
+@pytest.mark.parametrize("call", [
+    lambda: new_density(NEAR_LIMIT),
+    lambda: LindbladModel(NEAR_LIMIT),
+    lambda: evolve_effective(EffectiveHamiltonian(NEAR_LIMIT), MIXED_QUBIT, 0.2, 0.1),
+], ids=["new_density", "LindbladModel", "evolve_effective"])
+def test_hermiticity_defect_near_the_float_limit(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonHermitianError):
+            call()
+
+
+def test_hermitian_part_of_a_large_effective_hamiltonian_stays_finite():
+    # (h + h^dagger) / 2 would overflow on the diagonal; the step then fails as a
+    # numerical error, not as an infinite h0.
+    h = EffectiveHamiltonian(np.diag([1e308, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EntrateError) as info:
+            evolve_effective(h, MIXED_QUBIT, 0.2, 0.1)
+    assert not isinstance(info.value, DomainError)
 
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -86,6 +176,9 @@ CHANNELS = st.one_of(
                                  st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                        st.tuples(MATRICES, SCALARS), MATRICES, SCALARS), max_size=2),
 )
+# Sizes of a subsystem: small integers (kept small, as each builds a basis) or anything else.
+SIZES = st.one_of(st.integers(-2, 5), SCALARS)
+BLOCKS = st.one_of(SCALARS, st.lists(MATRICES, max_size=3))
 
 # Each name: the call, then the strategy of each argument.
 FUZZED = {
@@ -100,6 +193,11 @@ FUZZED = {
     "eof_many": (eof_many, MATRICES),
     "rate_chain": (MATRIX_ARGUMENT_CALLS["rate_chain"], MATRICES),
     "coefficient_rates": (MATRIX_ARGUMENT_CALLS["coefficient_rates"], MATRICES),
+    "Trajectory": (Trajectory, SCALARS, MATRICES),
+    "rate_bloch": (rate_bloch, BLOCKS, BLOCKS),
+    "gell_mann_basis": (gell_mann_basis, SIZES),
+    "decompose": (lambda n, m: decompose(MIXED_PAIR, n, m), SIZES, SIZES),
+    "binary_entropy": (binary_entropy, SCALARS),
     "ModelParams": (ModelParams, SCALARS, SCALARS, SCALARS),
     "WernerParams": (WernerParams, SCALARS, SCALARS, SCALARS, SCALARS),
     "XYFamilyParams": (XYFamilyParams, SCALARS, SCALARS),

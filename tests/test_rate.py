@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import centered_trajectory, random_entangled_mixed, random_xy_interior
+from conftest import (
+    as_state,
+    centered_trajectory,
+    random_entangled_mixed,
+    random_xy_interior,
+)
 from entrate import (
     ModelParams,
     WernerParams,
@@ -20,6 +28,7 @@ from entrate import (
     werner_state,
     xy_state,
 )
+from entrate.entanglement import _concurrence_raw, _eof_slopes
 from entrate.errors import (
     DegenerateDirectionError,
     DimensionMismatchError,
@@ -132,6 +141,20 @@ class TestRateChain:
                                 (werner_state(w), rate_werner(w, params))):
                 chain = rate_chain(rho, rhs_damped_xy(params, rho)).gamma_total
                 assert chain == pytest.approx(closed, rel=1e-10, abs=1e-14)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       parts=arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)))
+def test_slope_along_rho_dot_is_the_gradient_paired_with_the_rates(seed, parts):
+    """The directional kernel the rate report uses, along a Hermitian rho_dot,
+    against eof_gradient paired with the element rates (rate_chain)."""
+    mat = random_entangled_mixed(np.random.default_rng(seed))
+    rho_dot = parts[0] + 1j * parts[1]
+    rho_dot = rho_dot + rho_dot.conj().T
+    c, lam, _ = _concurrence_raw(mat)
+    along = _eof_slopes(mat, c, lam, rho_dot[None])[0]
+    assert abs(along - rate_chain(as_state(mat), rho_dot).gamma_total) <= 1e-13
 
 
 class TestRateWerner:
