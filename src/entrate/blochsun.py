@@ -11,13 +11,12 @@ gradient over (alpha, beta, gamma) with the coefficient rates.
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NonFiniteError
-from .qstate import DensityMatrix, _as_complex, _as_float, new_density
+from .qstate import DensityMatrix, _as_float, _integer, _matrix, _read_only, new_density
 
 REALITY_TOL = 1e-12
 
@@ -32,20 +31,24 @@ class GeneratorBasis:
 
 @dataclass(frozen=True)
 class BlochDecomposition:
+    """Coefficient blocks of an n x m state, stored as read-only float copies.
+
+    n and m must be integers (DomainError), and alpha, beta and gamma_ij finite
+    real arrays (DomainError) of shapes (n^2 - 1,), (m^2 - 1,) and
+    (n^2 - 1, m^2 - 1) (DimensionMismatchError)."""
+
     n: int
     m: int
     alpha: np.ndarray
     beta: np.ndarray
     gamma_ij: np.ndarray
 
-
-def _size(n) -> int:
-    """n as an int; DomainError unless it is an integer (an int or a numpy
-    integer, not a float or a string)."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise DomainError(f"a subsystem dimension must be an integer, got {n!r}") from None
+    def __post_init__(self):
+        n, m = _integer(self.n, "n"), _integer(self.m, "m")
+        shapes = {"alpha": (n * n - 1,), "beta": (m * m - 1,), "gamma_ij": (n * n - 1, m * m - 1)}
+        for name, shape in shapes.items():
+            block = _matrix(getattr(self, name), name, shape, _as_float)
+            object.__setattr__(self, name, _read_only(block))
 
 
 def gell_mann_basis(n: int) -> GeneratorBasis:
@@ -56,7 +59,7 @@ def gell_mann_basis(n: int) -> GeneratorBasis:
     an integer of at least 2 (DomainError), checked before the cache is
     consulted, so 2.0 does not find the basis of 2.
     """
-    n = _size(n)
+    n = _integer(n, "n")
     if n < 2:
         raise DomainError(f"generator basis needs n >= 2, got {n}")
     return _gell_mann_basis(n)
@@ -81,7 +84,7 @@ def _gell_mann_basis(n: int) -> GeneratorBasis:
 @functools.cache
 def _with_identity(n: int) -> np.ndarray:
     """Read-only stack (n^2, n, n): the identity, then the SU(n) generators."""
-    stack = np.concatenate((np.eye(n)[None], gell_mann_basis(n).generators))
+    stack = np.insert(gell_mann_basis(n).generators, 0, np.eye(n), axis=0)
     stack.setflags(write=False)
     return stack
 
@@ -89,8 +92,10 @@ def _with_identity(n: int) -> np.ndarray:
 def _coefficients(mat: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # t[i, j] = Tr(mat (s_i x t_j)) with s_0, t_0 the identities; the
     # operator index (a b) of the n x m space splits into a in n, b in m.
-    blocks = np.einsum("abcd,ica->ibd", mat.reshape(n, m, n, m), _with_identity(n))
-    t = np.einsum("ibd,jdb->ij", blocks, _with_identity(m))
+    # The bases come first, so that n or m below 2 raises DomainError.
+    basis_n, basis_m = _with_identity(n), _with_identity(m)
+    blocks = np.einsum("abcd,ica->ibd", mat.reshape(n, m, n, m), basis_n)
+    t = np.einsum("ibd,jdb->ij", blocks, basis_m)
     alpha = t[1:, 0] * n / 2.0
     beta = t[0, 1:] * m / 2.0
     gamma = t[1:, 1:] * n * m / 4.0
@@ -104,22 +109,16 @@ def _coefficients(mat: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarr
 
 def decompose(rho: DensityMatrix, n: int, m: int) -> BlochDecomposition:
     """Expand a state of an n x m system into Bloch coefficient blocks."""
-    n, m = _size(n), _size(m)
+    n, m = _integer(n, "n"), _integer(m, "m")
     if rho.dim != n * m:
         raise DimensionMismatchError(f"state dim {rho.dim} is not {n} * {m}")
     alpha, beta, gamma = _coefficients(rho.elements, n, m)
-    for arr in (alpha, beta, gamma):
-        arr.setflags(write=False)
     return BlochDecomposition(n=n, m=m, alpha=alpha, beta=beta, gamma_ij=gamma)
 
 
 def recompose_matrix(d: BlochDecomposition) -> np.ndarray:
     """Evaluate the Bloch expansion; Hermitian and unit-trace by construction."""
     n, m = d.n, d.m
-    if len(d.alpha) != n * n - 1 or len(d.beta) != m * m - 1:
-        raise DimensionMismatchError("coefficient lengths do not match the basis sizes")
-    if np.shape(d.gamma_ij) != (n * n - 1, m * m - 1):
-        raise DimensionMismatchError("gamma_ij block does not match the basis sizes")
     k = np.zeros((n * n, m * m), dtype=complex)
     k[0, 0] = 1.0
     k[1:, 0], k[0, 1:], k[1:, 1:] = d.alpha, d.beta, d.gamma_ij
@@ -140,14 +139,10 @@ def coefficient_rates(
 
     Same trace normalization as :func:`decompose`, so that
     decompose(rho(t + h)) - decompose(rho(t)) = h * rates + O(h^2).
-    rho_dot must be finite (DomainError).
+    rho_dot must be a finite (n m, n m) matrix (DimensionMismatchError, DomainError).
     """
-    n, m = _size(n), _size(m)
-    rho_dot = _as_complex(rho_dot)
-    if rho_dot.shape != (n * m, n * m):
-        raise DimensionMismatchError(f"rho_dot shape {rho_dot.shape} is not ({n * m}, {n * m})")
-    if not np.isfinite(rho_dot).all():
-        raise DomainError("rho_dot must be finite")
+    n, m = _integer(n, "n"), _integer(m, "m")
+    rho_dot = _matrix(rho_dot, "rho_dot", (n * m, n * m))
     return _coefficients(rho_dot, n, m)
 
 
@@ -170,13 +165,8 @@ def rate_bloch(
     total = 0.0
     for g_block, r_block in blocks:
         g_arr = _as_float(g_block)
-        r_arr = _as_float(r_block)
-        if g_arr.shape != r_arr.shape:
-            raise DimensionMismatchError(
-                f"gradient block {g_arr.shape} does not match rate block {r_arr.shape}"
-            )
-        if not (np.isfinite(g_arr).all() and np.isfinite(r_arr).all()):
-            raise DomainError("gradient and rate blocks must be finite")
+        g_arr, r_arr = (_matrix(block, "gradient and rate blocks", g_arr.shape, _as_float)
+                        for block in (g_arr, r_block))
         with np.errstate(over="ignore", invalid="ignore"):
             total += float((g_arr * r_arr).sum())
     if not math.isfinite(total):

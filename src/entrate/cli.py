@@ -52,6 +52,8 @@ from .qstate import (
     DensityMatrix,
     WernerParams,
     XYFamilyParams,
+    _finite_numbers,
+    _matrix,
     new_density,
     werner_state,
     xy_positivity,
@@ -59,7 +61,6 @@ from .qstate import (
 )
 from .rate import (  # noqa: F401  rate_chain and rate_numeric are patched by bench/tracing.py
     _central_difference,
-    _checked_rho_dot,
     criterion_threshold_value,
     rate_chain,
     rate_numeric,
@@ -94,7 +95,7 @@ def _sweep(command: str, ranges: dict, params: ModelParams,
     for name, (start, stop, count) in ranges.items():
         if count < 2:
             raise InfeasibleRangeError(f"axis {name} needs at least 2 points")
-        if not (np.isfinite(start) and np.isfinite(stop)):
+        if not _finite_numbers((start, stop)):
             raise InfeasibleRangeError(f"axis {name} range is not finite")
     _check_size(command, math.prod(count for _, _, count in ranges.values()), len(header))
     config = {"command": command, "ranges": {k: list(v) for k, v in ranges.items()},
@@ -385,11 +386,11 @@ def _three_route_report(rho0, closed, params, dt) -> list[tuple[str, float]]:
     difference over (0, 2 dt), from one concurrence pass over rho0 and
     rho(2 dt): rate_chain's total and rate_numeric(traj, 1) without
     recomputing either state's spectrum."""
-    if not math.isfinite(2 * dt):
+    if not _finite_numbers((2 * dt,)):
         raise ParseError(f"--dt {dt!r} is out of range: the numeric route integrates to "
                          "2 * dt, which overflows")
     traj = integrate(params, rho0, 2 * dt, dt)
-    rho_dot = _checked_rho_dot(rhs_damped_xy(params, rho0))
+    rho_dot = _matrix(rhs_damped_xy(params, rho0), "rho_dot", (4, 4))
     ends = traj.elements[[0, 2]]  # ends[0] is rho0
     c, lam, _ = _concurrence_raw(ends)
     try:
@@ -471,7 +472,7 @@ def _finite_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not np.isfinite(value):
+    if not _finite_numbers((value,)):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
 

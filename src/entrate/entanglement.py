@@ -18,7 +18,7 @@ from .errors import (
     EigenFailureError,
     KinkRegionError,
 )
-from .qstate import DensityMatrix, WernerParams, _as_complex, _finite_numbers
+from .qstate import DensityMatrix, WernerParams, _as_complex, _finite_numbers, _two_qubit
 
 KINK_TOL = 1e-6
 # _eof_slopes treats a lambda at or below this as zero (see its docstring).
@@ -75,9 +75,7 @@ class MeasureGradient:
 
 def spin_flip(rho: DensityMatrix) -> np.ndarray:
     """Return rho_tilde = (sy x sy) conj(rho) (sy x sy)."""
-    if rho.dim != 4:
-        raise DimensionMismatchError(f"spin flip needs dim 4, got {rho.dim}")
-    return _flip(rho.elements)
+    return _flip(_two_qubit(rho, "spin_flip"))
 
 
 def _concurrence_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,9 +108,7 @@ def _concurrence_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
     """Wootters concurrence of a two-qubit state."""
-    if rho.dim != 4:
-        raise DimensionMismatchError(f"concurrence needs dim 4, got {rho.dim}")
-    c, lam, _ = _concurrence_raw(rho.elements)
+    c, lam, _ = _concurrence_raw(_two_qubit(rho, "concurrence"))
     lam.setflags(write=False)
     return ConcurrenceResult(c=float(c), lambdas=lam)
 
@@ -218,9 +214,7 @@ def eof_gradient(rho: DensityMatrix) -> MeasureGradient:
     partials are `_eof_slopes` along the 16 basis directions of the element
     order.  Raises KinkRegionError where they are undefined (see there).
     """
-    if rho.dim != 4:
-        raise DimensionMismatchError(f"eof gradient needs dim 4, got {rho.dim}")
-    mat = rho.elements
+    mat = _two_qubit(rho, "eof_gradient")
     c, lam, _ = _concurrence_raw(mat)
     grad = np.zeros((2, 4, 4))
     grad[_PART, _ROW, _COL] = _eof_slopes(mat, c, lam, _DIRECTIONS)

@@ -11,15 +11,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    IncompleteChannelError,
-    NonHermitianError,
-    WeightError,
-)
+from .errors import DimensionMismatchError, DomainError, IncompleteChannelError, WeightError
 from .lindblad import LindbladModel, Trajectory, integrate
-from .qstate import DensityMatrix, _as_complex, _hermiticity_defect, _read_only, new_density
+from .qstate import (
+    DensityMatrix,
+    _as_complex,
+    _check_hermitian,
+    _finite_numbers,
+    _integer,
+    _matrix,
+    _read_only,
+    new_density,
+)
 
 COMPLETENESS_TOL = 1e-10
 WEIGHT_TOL = 1e-10
@@ -37,7 +40,7 @@ class KrausChannel:
 
     def __post_init__(self):
         try:
-            ops = _read_only(self.operators)
+            ops = _read_only(_as_complex(self.operators))
         except DomainError as exc:  # ragged (operators of different shapes) or not numeric
             raise DimensionMismatchError(
                 f"Kraus operators must be numeric matrices of one shape: {exc}"
@@ -64,11 +67,7 @@ class EffectiveHamiltonian:
     h_e: np.ndarray
 
     def __post_init__(self):
-        h_e = _read_only(self.h_e)
-        if h_e.ndim != 2 or h_e.shape[0] != h_e.shape[1] or not h_e.size:
-            raise DimensionMismatchError(f"H_e must be a square matrix, got shape {h_e.shape}")
-        if not np.isfinite(h_e).all():
-            raise DomainError("H_e must be finite")
+        h_e = _read_only(_matrix(self.h_e, "H_e"))
         object.__setattr__(self, "h_e", h_e)
 
 
@@ -101,8 +100,9 @@ def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:
 
 
 def amplitude_damping(eta: float) -> KrausChannel:
-    """Single-qubit amplitude damping: |1> decays to |0> with probability eta."""
-    if not 0.0 <= eta <= 1.0:
+    """Single-qubit amplitude damping: |1> decays to |0> with probability eta,
+    a real number in [0, 1] (WeightError)."""
+    if not (_finite_numbers((eta,)) and 0.0 <= eta <= 1.0):
         raise WeightError(f"damping probability must lie in [0, 1], got {eta!r}")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]], dtype=complex)
@@ -115,12 +115,13 @@ def build_effective_hamiltonian(
 ) -> EffectiveHamiltonian:
     """H_e = sum over (mu, nu) of sqrt(p_nu) * <mu|H_t|nu> system blocks.
 
-    `h_t_elements` maps environment index pairs to system-space matrices;
-    missing pairs are zero.  `p` holds the environment weights p_nu.
+    `h_t_elements` maps environment index pairs (mu, nu) of integers to finite
+    square system-space matrices; missing pairs are zero.  `p` holds the
+    environment weights p_nu, a sequence of finite real numbers.
     """
+    if not _finite_numbers(p):
+        raise DomainError(f"environment weights must be a sequence of finite numbers, got {p!r}")
     p = list(p)
-    if not np.isfinite(p).all():
-        raise DomainError(f"environment weights must be finite, got {p}")
     if any(w < 0 for w in p):
         raise WeightError(f"environment weights must be nonnegative, got {p}")
     total = sum(p)
@@ -129,15 +130,19 @@ def build_effective_hamiltonian(
     if not h_t_elements:
         raise DimensionMismatchError("h_t_elements must contain at least one block")
 
-    blocks = {k: _as_complex(v) for k, v in h_t_elements.items()}
+    blocks = {k: _matrix(v, "an H_t block") for k, v in h_t_elements.items()}
     shape = next(iter(blocks.values())).shape
     h_e = np.zeros(shape, dtype=complex)
-    for (mu, nu), block in blocks.items():
+    for key, block in blocks.items():
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise DomainError(f"an environment index pair must be a (mu, nu) tuple, got {key!r}")
+        mu, nu = (_integer(i, "an environment index") for i in key)
         if not (0 <= mu < len(p) and 0 <= nu < len(p)):
             raise WeightError(f"environment index pair ({mu}, {nu}) outside weight list")
         if block.shape != shape:
             raise DimensionMismatchError("blocks differ in shape")
-        h_e = h_e + np.sqrt(p[nu]) * block
+        with np.errstate(over="ignore", invalid="ignore"):  # EffectiveHamiltonian reports overflow
+            h_e = h_e + np.sqrt(p[nu]) * block
     return EffectiveHamiltonian(h_e=h_e)
 
 
@@ -149,11 +154,7 @@ def evolve_effective(
     integrate raises DimensionMismatchError when H_e and rho0 differ in shape.
     """
     h = h_e.h_e
-    defect = _hermiticity_defect(h)
-    if defect > HERMITICITY_TOL:
-        raise NonHermitianError(
-            f"effective Hamiltonian Hermiticity defect {defect!r} exceeds {HERMITICITY_TOL}"
-        )
+    _check_hermitian(h, "effective Hamiltonian Hermiticity", HERMITICITY_TOL)
     # The Hermitian part passes LindbladModel's tighter Hermiticity check
     # and leaves an exactly Hermitian H_e unchanged; halving each term first
     # keeps it finite for entries near the float limit.

@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     NonFiniteError,
-    NonHermitianError,
     StepSizeTooLargeError,
     TraceNotOneError,
 )
@@ -35,9 +34,11 @@ from .qstate import (
     DensityMatrix,
     _as_complex,
     _as_float,
+    _check_hermitian,
     _finite_numbers,
-    _hermiticity_defect,
+    _matrix,
     _read_only,
+    _two_qubit,
     unchecked_density,
 )
 
@@ -89,14 +90,8 @@ class LindbladModel:
     channels: Sequence[tuple[np.ndarray, float, float]] = field(default_factory=tuple)
 
     def __post_init__(self):
-        h0 = _read_only(self.h0)
-        if h0.ndim != 2 or h0.shape[0] != h0.shape[1] or not h0.size:
-            raise DimensionMismatchError(f"h0 must be a square matrix, got shape {h0.shape}")
-        if not np.isfinite(h0).all():
-            raise DomainError("h0 must be finite")
-        defect = _hermiticity_defect(h0)
-        if defect > HERMITICITY_TOL:
-            raise NonHermitianError(f"h0 Hermiticity defect {defect!r}")
+        h0 = _read_only(_matrix(self.h0, "h0"))
+        _check_hermitian(h0, "h0 Hermiticity", HERMITICITY_TOL)
         try:
             entries = [(x_minus, k, g) for x_minus, k, g in self.channels]
         except (TypeError, ValueError) as exc:
@@ -105,11 +100,7 @@ class LindbladModel:
             ) from exc
         channels = []
         for x_minus, k_rate, g_rate in entries:
-            x_minus = _read_only(x_minus)
-            if x_minus.shape != h0.shape:
-                raise DimensionMismatchError("channel operator dimension mismatch")
-            if not np.isfinite(x_minus).all():
-                raise DomainError("channel operators must be finite")
+            x_minus = _read_only(_matrix(x_minus, "a channel operator", h0.shape))
             if not (_finite_numbers((k_rate, g_rate)) and k_rate >= 0 and g_rate >= 0):
                 raise DomainError(f"channel rates must be nonnegative and finite, got "
                                   f"{k_rate!r}, {g_rate!r}")
@@ -122,21 +113,20 @@ class LindbladModel:
 class Trajectory:
     """Time grid and the (T, d, d) stack of density matrices at its points.
 
-    Both arrays are read-only copies.
+    Both arrays are read-only copies; the times are finite and strictly
+    increasing.
     """
 
     times: np.ndarray
     elements: np.ndarray
 
     def __post_init__(self):
-        times = _as_float(self.times, copy=True)
-        elements = _read_only(self.elements)
+        elements = _read_only(_as_complex(self.elements))
         if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
             raise DimensionMismatchError(
                 f"elements must be a (T, d, d) stack, got shape {elements.shape}"
             )
-        if times.shape != elements.shape[:1]:
-            raise DimensionMismatchError("times and elements length mismatch")
+        times = _read_only(_matrix(self.times, "times", elements.shape[:1], _as_float))
         if len(times) > 1 and np.diff(times).min() <= 0:
             raise DomainError("trajectory times must be strictly increasing")
         defect = np.abs(np.trace(elements, axis1=1, axis2=2) - 1.0)
@@ -144,7 +134,6 @@ class Trajectory:
         if bad.size:
             k = bad[0]
             raise TraceNotOneError(f"state at t={times[k]} has trace defect {defect[k]}")
-        times.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "elements", elements)
 
@@ -187,7 +176,10 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
 
 
 def xy_hamiltonian(omega: float, g: float) -> np.ndarray:
-    """H = omega/2 (sz1 + sz2) + g (s+1 s-2 + s-1 s+2), ground state at -omega."""
+    """H = omega/2 (sz1 + sz2) + g (s+1 s-2 + s-1 s+2), ground state at -omega;
+    omega and g must be finite real numbers (DomainError)."""
+    if not _finite_numbers((omega, g)):
+        raise DomainError(f"xy_hamiltonian needs finite omega and g, got {omega!r}, {g!r}")
     h = np.zeros((4, 4), dtype=complex)
     h[0, 0] = -omega
     h[3, 3] = omega
@@ -224,9 +216,7 @@ def rhs_damped_xy(params: ModelParams, rho: DensityMatrix) -> np.ndarray:
     The ten upper-triangle equations are written out; the lower triangle
     follows from d(rho_ij)/dt = conj(d(rho_ji)/dt).
     """
-    if rho.dim != 4:
-        raise DimensionMismatchError(f"damped XY model needs dim 4, got {rho.dim}")
-    m = rho.elements
+    m = _two_qubit(rho, "the damped XY model")
     g, gam, om = params.g, params.gamma, params.omega
     out = np.zeros((4, 4), dtype=complex)
 
@@ -279,9 +269,9 @@ def integrate(
     correction must stay below 1e-6 per step and 1e-8 per unit time,
     otherwise StepSizeTooLargeError is raised.
     """
-    if not (np.isfinite(dt) and dt > 0):
+    if not (_finite_numbers((dt,)) and dt > 0):
         raise DomainError(f"step size must be positive and finite, got {dt!r}")
-    if not (np.isfinite(t_end) and t_end >= 0):
+    if not (_finite_numbers((t_end,)) and t_end >= 0):
         raise DomainError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if isinstance(rhs, ModelParams):
         gen, h0_shape = _damped_xy_generator(rhs), (4, 4)

@@ -1,9 +1,19 @@
-"""Density-matrix construction and the two parametric two-qubit families.
+"""Density-matrix construction, the two parametric two-qubit families, and
+the package's rules for library input.
 
 Basis ordering for two qubits is fixed throughout the package:
 index 1 = |00>, 2 = |01>, 3 = |10>, 4 = |11|  (0-based in code).
+
+Each kind of library input has one rule, here: a state (`new_density`), a
+matrix or an array of known shape (`_matrix`, converting by `_as_complex` or
+`_as_float`), a two-qubit state (`_two_qubit`), Hermiticity (`_check_hermitian`),
+an integer (`_integer`) and finite scalars (`_finite_numbers`).  Records store
+read-only copies (`_read_only`); function arguments are not copied.
 """
 
+import cmath
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +81,7 @@ class XYFamilyParams:
     q: complex
 
     def __post_init__(self):
-        if not (_finite_numbers((self.p,)) and _finite_numbers((self.q,), kinds="biufc")):
+        if not (_finite_numbers((self.p,)) and _finite_numbers((self.q,), numbers.Complex)):
             raise DomainError(f"XY family needs finite p and q, got {self.p!r}, {self.q!r}")
         r = float(xy_positivity(self.p, self.q))
         if r > FEASIBILITY_TOL:
@@ -80,16 +90,27 @@ class XYFamilyParams:
             )
 
 
-def _finite_numbers(values, kinds: str = "biuf") -> bool:
-    """Whether `values` is a flat sequence of finite numbers of the numpy dtype
-    kinds `kinds` (real by default); False for strings, None, nested or ragged
-    sequences and complex values where real ones are asked for."""
+def _finite_numbers(values, kind=numbers.Real) -> bool:
+    """Whether `values` is a sequence of finite numbers of the abstract type
+    `kind` (numbers.Complex admits complex ones); False for a value that is
+    not a sequence, or for strings, None, sequences or huge integers in it."""
     try:
-        arr = np.asarray(values)
-    except ValueError:  # a ragged sequence
+        for v in values:
+            # A float is tested first: the check against an abstract type is slow.
+            if not ((type(v) is float or isinstance(v, kind)) and cmath.isfinite(v)):
+                return False
+        return hasattr(values, "__len__")  # not an iterator
+    except (TypeError, OverflowError):
         return False
-    return (arr.shape == (len(values),) and arr.dtype.kind in kinds
-            and bool(np.isfinite(arr).all()))
+
+
+def _integer(n, what: str) -> int:
+    """n as an int; DomainError unless it is an integer (an int or a numpy
+    integer, not a float or a string)."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {n!r}") from None
 
 
 def _numeric(obj, kinds: str) -> np.ndarray:
@@ -106,35 +127,49 @@ def _numeric(obj, kinds: str) -> np.ndarray:
     return arr
 
 
-def _as_complex(obj, copy: bool = False) -> np.ndarray:
-    """obj as a complex ndarray: the package's one conversion of matrix input.
-
-    Without `copy`, a complex ndarray is returned as it is.  Raises
-    DomainError for a ragged sequence or a non-numeric input (strings,
-    None, objects).
-    """
-    return _numeric(obj, "biufc").astype(complex, copy=copy)
+def _as_complex(obj) -> np.ndarray:
+    """obj as a complex ndarray (a complex one as it is): the conversion of matrix input."""
+    return _numeric(obj, "biufc").astype(complex, copy=False)
 
 
-def _as_float(obj, copy: bool = False) -> np.ndarray:
-    """obj as a float ndarray: the one conversion of real array input.
-
-    Without `copy`, a float ndarray is returned as it is.  Raises
-    DomainError for a ragged sequence, a non-numeric or a complex input.
-    """
-    return _numeric(obj, "biuf").astype(float, copy=copy)
+def _as_float(obj) -> np.ndarray:
+    """obj as a float ndarray (a float one as it is): the conversion of real array input."""
+    return _numeric(obj, "biuf").astype(float, copy=False)
 
 
-def _hermiticity_defect(mat: np.ndarray) -> np.float64:
-    """max |m_ij - conj(m_ji)| of a finite square matrix, without a warning:
-    a defect beyond the float range reads inf."""
+def _matrix(obj, what: str, shape=None, convert=_as_complex) -> np.ndarray:
+    """obj converted by `convert`; DimensionMismatchError unless it has `shape`
+    or, without one, is a non-empty square matrix, then DomainError unless finite."""
+    arr = convert(obj)
+    if shape is None:
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise DimensionMismatchError(f"{what} must be a square matrix, got shape {arr.shape}")
+    elif arr.shape != shape:
+        raise DimensionMismatchError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} must be finite")
+    return arr
+
+
+def _two_qubit(rho: DensityMatrix, what: str) -> np.ndarray:
+    """rho's elements; DimensionMismatchError unless rho is a two-qubit state."""
+    if rho.dim != 4:
+        raise DimensionMismatchError(f"{what} needs a two-qubit state (dim 4), got dim {rho.dim}")
+    return rho.elements
+
+
+def _check_hermitian(mat: np.ndarray, what: str, tol: float) -> None:
+    """NonHermitianError unless max |m_ij - conj(m_ji)| of a finite square matrix is
+    within tol (`what` names the defect); beyond the float range it reads inf."""
     with np.errstate(over="ignore"):
-        return np.abs(mat - mat.conj().T).max()
+        defect = np.abs(mat - mat.conj().T).max()
+    if defect > tol:
+        raise NonHermitianError(f"{what} defect {defect!r} exceeds {tol}")
 
 
-def _read_only(obj) -> np.ndarray:
-    """A read-only complex copy of obj: the form every record stores its arrays in."""
-    arr = _as_complex(obj, copy=True)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of a converted array: the form every record stores its arrays in."""
+    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -142,7 +177,7 @@ def _read_only(obj) -> np.ndarray:
 def unchecked_density(elements: np.ndarray) -> DensityMatrix:
     """Wrap a read-only complex copy of a non-empty square matrix as a
     DensityMatrix without validating the invariants."""
-    arr = _read_only(elements)
+    arr = _read_only(_as_complex(elements))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
     return DensityMatrix(dim=arr.shape[0], elements=arr)
@@ -182,9 +217,7 @@ def new_density(elements: np.ndarray) -> DensityMatrix:
     if bad:
         raise DomainError(f"matrix is not finite in {bad} of {arr.size} elements")
 
-    herm_defect = _hermiticity_defect(arr)
-    if herm_defect > HERMITICITY_TOL:
-        raise NonHermitianError(f"Hermiticity defect {herm_defect!r} exceeds {HERMITICITY_TOL}")
+    _check_hermitian(arr, "Hermiticity", HERMITICITY_TOL)
 
     trace_defect = abs(arr.trace() - 1.0)
     if trace_defect > TRACE_TOL:
@@ -224,9 +257,10 @@ def xy_state(params: XYFamilyParams) -> DensityMatrix:
 def xy_positivity(p, q):
     """Positivity indicator R = p^2 - p + |q|^2; the state is valid iff R <= 0.
 
-    Evaluates elementwise on arrays.  numpy squares a scalar through pow,
-    as Python does, and an array by multiplication, so an array cell may
-    differ from the scalar call in the last bit.
+    An array kernel: it evaluates elementwise on arrays, checks no input and
+    passes NaN through, which the sweeps use as a mask.  numpy squares a
+    scalar through pow, as Python does, and an array by multiplication, so
+    an array cell may differ from the scalar call in the last bit.
     """
     return p * p - p + np.hypot(np.real(q), np.imag(q)) ** 2
 
@@ -237,9 +271,7 @@ def bell_diagonal_weights(rho: DensityMatrix) -> WernerParams:
     Raises NotBellDiagonalError unless rebuilding the state from the
     recovered weights reproduces every element to 1e-10.
     """
-    if rho.dim != 4:
-        raise DimensionMismatchError(f"expected dim 4, got {rho.dim}")
-    m = rho.elements
+    m = _two_qubit(rho, "bell_diagonal_weights")
     half_ab = (m[1, 1].real + m[2, 2].real) / 2
     half_cd = (m[0, 0].real + m[3, 3].real) / 2
     a = half_ab - m[1, 2].real

@@ -23,7 +23,7 @@ gamma |q|^2 (`_xy_margin`), for g < 0 and gamma = 0 too.  Where qI (2p-1) > 0
 and gamma > 0, Gamma is positive exactly when g/gamma exceeds |q|^2 / (qI (2p-1)).
 """
 
-import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,13 +33,12 @@ from .entanglement import _COL, _PART, _ROW, _measure_slope, eof_gradient, eof_m
 from .entanglement import eof  # noqa: F401  patched by bench/tracing.py
 from .errors import (
     DegenerateDirectionError,
-    DimensionMismatchError,
     DomainError,
     IndexOutOfRangeError,
     SeparableRegionError,
 )
 from .lindblad import ModelParams, Trajectory
-from .qstate import DensityMatrix, WernerParams, XYFamilyParams, _as_complex
+from .qstate import DensityMatrix, WernerParams, XYFamilyParams, _finite_numbers, _integer, _matrix
 
 SEPARABLE_TOL = 1e-6
 XY_SEPARABLE_TOL = 1e-8
@@ -62,7 +61,9 @@ def _central_difference(e_minus, e_plus, t_minus, t_plus):
 
 
 def rate_numeric(trajectory: Trajectory, index: int) -> float:
-    """Central difference of the entanglement of formation at a trajectory index."""
+    """Central difference of the entanglement of formation at a trajectory
+    index, an integer (DomainError) with a neighbour on each side."""
+    index = _integer(index, "a trajectory index")
     n = len(trajectory)
     if not 1 <= index <= n - 2:
         raise IndexOutOfRangeError(
@@ -70,17 +71,6 @@ def rate_numeric(trajectory: Trajectory, index: int) -> float:
         )
     e_minus, e_plus = eof_many(trajectory.elements[[index - 1, index + 1]])
     return _central_difference(e_minus, e_plus, *trajectory.times[[index - 1, index + 1]])
-
-
-def _checked_rho_dot(rho_dot) -> np.ndarray:
-    """rho_dot as a complex array, which must be a finite 4x4 matrix
-    (DimensionMismatchError, DomainError)."""
-    rho_dot = _as_complex(rho_dot)
-    if rho_dot.shape != (4, 4):
-        raise DimensionMismatchError(f"rho_dot must be 4x4, got shape {rho_dot.shape}")
-    if not np.isfinite(rho_dot).all():
-        raise DomainError("rho_dot must be finite")
-    return rho_dot
 
 
 def rate_chain(rho: DensityMatrix, rho_dot: np.ndarray) -> RateBreakdown:
@@ -91,7 +81,7 @@ def rate_chain(rho: DensityMatrix, rho_dot: np.ndarray) -> RateBreakdown:
     rho_dot must be a finite 4x4 matrix.  Propagates KinkRegionError where
     the gradient is undefined.
     """
-    rho_dot = _checked_rho_dot(rho_dot)
+    rho_dot = _matrix(rho_dot, "rho_dot", (4, 4))
     grad = eof_gradient(rho)
     slopes = np.stack([grad.dE_dRe, grad.dE_dIm])[_PART, _ROW, _COL]
     rates = np.stack([rho_dot.real, rho_dot.imag])[_PART, _ROW, _COL]
@@ -153,7 +143,7 @@ def rate_xy_value(p: float, q: complex, g: float, gamma: float) -> float:
     to evaluate the formula on the full coherence disk.  Every argument must
     be finite (DomainError).
     """
-    if not all(map(math.isfinite, (p, q.real, q.imag, g, gamma))):
+    if not (_finite_numbers((p, g, gamma)) and _finite_numbers((q,), numbers.Complex)):
         raise DomainError(f"rate needs finite p, q, g and gamma, got {p!r}, {q!r}, "
                           f"{g!r}, {gamma!r}")
     try:
@@ -180,7 +170,7 @@ def rate_xy(x: XYFamilyParams, params: ModelParams) -> float:
 def criterion_threshold_value(p: float, q: complex) -> float:
     """Raw threshold |q|^2 / (qI (2p-1)), without family validation; p and q
     must be finite (DomainError)."""
-    if not all(map(math.isfinite, (p, q.real, q.imag))):
+    if not (_finite_numbers((p,)) and _finite_numbers((q,), numbers.Complex)):
         raise DomainError(f"threshold needs finite p and q, got {p!r}, {q!r}")
     denom = q.imag * (2.0 * p - 1.0)
     if denom == 0.0:
