@@ -61,6 +61,7 @@ from .rate import (
     rate_chain,
     rate_numeric,
     rate_werner,
+    rate_x,
     rate_xy,
     rate_xy_value,
 )

@@ -26,23 +26,24 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .entanglement import (  # noqa: F401  eof is patched by bench/tracing.py
-    _concurrence_raw,
-    _eof_and_spectra,
+    KINK_TOL,
+    _eof_and_min_eig,
     _eof_of_concurrence,
-    _eof_slopes,
+    _measure,
+    _measure_slope,
     eof,
 )
 from .errors import (
     DegenerateDirectionError,
     EntrateError,
     InfeasibleRangeError,
-    KinkRegionError,
     NonFiniteError,
     ParseError,
 )
-from .lindblad import (
+from .lindblad import (  # noqa: F401  rhs_damped_xy is patched by bench/tracing.py
     ModelParams,
     Trajectory,
+    _damped_xy_generator,
     default_step,
     integrate,
     rhs_damped_xy,
@@ -52,8 +53,8 @@ from .qstate import (
     DensityMatrix,
     WernerParams,
     XYFamilyParams,
+    _finite,
     _finite_numbers,
-    _matrix,
     new_density,
     werner_state,
     xy_positivity,
@@ -346,12 +347,12 @@ def _parse_state(tokens: list[str]) -> DensityMatrix:
 def _evolve_rows(traj: Trajectory) -> list[list]:
     mats = traj.elements
     t = traj.times
-    e, spectra = _eof_and_spectra(mats)
+    e, min_eig = _eof_and_min_eig(mats)
     rate = np.full(len(t), np.nan)
     rate[1:-1] = _central_difference(e[:-2], e[2:], t[:-2], t[2:])
     table = np.column_stack([
         t, mats.reshape(len(t), 16).view(float), np.trace(mats, axis1=1, axis2=2).real,
-        spectra[:, 0], e, rate,
+        min_eig, e, rate,
     ])
     for name, column in zip(EVOLVE_HEADER, (*table.T[:-1], rate[1:-1])):  # blank ends skipped
         _check_finite(name, column)
@@ -382,21 +383,19 @@ def cmd_evolve(args) -> str:
 # ---------------------------------------------------------------- rate
 
 def _three_route_report(rho0, closed, params, dt) -> list[tuple[str, float]]:
-    """The closed form, the chain rule along rhs_damped_xy and the central
-    difference over (0, 2 dt), from one concurrence pass over rho0 and
-    rho(2 dt): rate_chain's total and rate_numeric(traj, 1) without
-    recomputing either state's spectrum."""
+    """The closed form, the chain rule along rho_dot = L vec rho0 and the
+    central difference over (0, 2 dt), from one measure call over rho0 and
+    rho(2 dt): rate_x's value (undefined where it raises KinkRegionError) and
+    rate_numeric(traj, 1)."""
     if not _finite_numbers((2 * dt,)):
         raise ParseError(f"--dt {dt!r} is out of range: the numeric route integrates to "
                          "2 * dt, which overflows")
     traj = integrate(params, rho0, 2 * dt, dt)
-    rho_dot = _matrix(rhs_damped_xy(params, rho0), "rho_dot", (4, 4))
+    rho_dot = _finite((_damped_xy_generator(params) @ rho0.elements.reshape(16)).reshape(4, 4),
+                      "rho_dot")
     ends = traj.elements[[0, 2]]  # ends[0] is rho0
-    c, lam, _ = _concurrence_raw(ends)
-    try:
-        chain = _eof_slopes(ends[0], c[0], lam[0], rho_dot[None])[0]
-    except KinkRegionError:
-        chain = None
+    c, _, dc = _measure(ends, rho_dot)
+    chain = _measure_slope(c[0]) * dc[0] if c[0] > KINK_TOL and np.isfinite(dc[0]) else None
     e_minus, e_plus = _eof_of_concurrence(c)
     numeric = _central_difference(e_minus, e_plus, *traj.times[[0, 2]])
     return [("rate_closed_form", closed), ("rate_chain", chain),

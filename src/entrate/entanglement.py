@@ -6,6 +6,11 @@ with l_i the decreasingly sorted square roots of the eigenvalues of
 rho * rho_tilde and rho_tilde = (sy x sy) conj(rho) (sy x sy) (Wootters,
 PRL 80, 2245 (1998)).  The entanglement of formation is
 E = h((1 + sqrt(1 - c^2)) / 2) with h the binary entropy.
+
+An X-state, whose eight off-X elements rho_12, rho_13, rho_24, rho_34 and
+their partners are zero, has c in closed form (`_x_measure`).  One rule,
+per state, picks the route (`_measure`): an X-state takes the closed form,
+any other state the singular-value route (`_concurrence_raw`).
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,14 @@ from .errors import (
     EigenFailureError,
     KinkRegionError,
 )
-from .qstate import DensityMatrix, WernerParams, _as_complex, _finite_numbers, _two_qubit
+from .qstate import (
+    DensityMatrix,
+    WernerParams,
+    _as_complex,
+    _finite,
+    _finite_numbers,
+    _two_qubit,
+)
 
 KINK_TOL = 1e-6
 # _eof_slopes treats a lambda at or below this as zero (see its docstring).
@@ -52,6 +64,10 @@ _DIRECTIONS.setflags(write=False)
 _CONCURRENCE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 # The upper-triangle elements an X-state has zero: rho_12, rho_13, rho_24, rho_34.
 _OFF_X = ([0, 0, 1, 2], [1, 2, 3, 3])
+# An X-state's two 2x2 blocks, {rho11, rho44, rho14} and {rho22, rho33, rho23}:
+# each block's diagonal elements are (_X_FIRST, _X_FIRST) and (_X_SECOND,
+# _X_SECOND), its coherence (_X_FIRST, _X_SECOND).
+_X_FIRST, _X_SECOND = [0, 1], [3, 2]
 
 
 @dataclass(frozen=True)
@@ -131,23 +147,96 @@ def _eof_of_concurrence(c: np.ndarray) -> np.ndarray:
     return _entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)
 
 
-def _eof_and_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E of every state in a complex (..., 4, 4) stack, and the states'
-    ascending spectra."""
-    c, _, w = _concurrence_raw(mats)
-    return _eof_of_concurrence(c), w
+def _is_x(mats: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (..., 4, 4) stack has the X form: its eight
+    off-X elements, in both triangles, exactly zero."""
+    return ~mats[..., _OFF_X[0] + _OFF_X[1], _OFF_X[1] + _OFF_X[0]].any(axis=-1)
+
+
+def _x_measure(mats: np.ndarray, mats_dot=None):
+    """Concurrences, smallest eigenvalues and, when mats_dot is given, the
+    derivatives dc along it, of a (..., 4, 4) stack of X-states.
+
+    Block k of an X-state, with diagonal (a, b) and coherence z, has the
+    eigenvalues (a + b)/2 -+ hypot((a - b)/2, |z|), and
+        c = 2 max(0, |rho23| - sqrt(rho11 rho44), |rho14| - sqrt(rho22 rho33))
+    (Yu & Eberly, PRL 93, 140404 (2004)): each block's coherence against the
+    other block's diagonal.  mats_dot broadcasts against mats and is read on
+    the X elements only.  dc is twice the derivative of the term that sets
+    c > 0, and 0 where c = 0.  There d|z| = Re(conj(z) z')/|z|, and
+    d sqrt(ab) = (a'b + ab') / (2 sqrt(ab)) where a, b > 0; where a factor is
+    0 (or below) the one-sided rule is: both factors 0, sqrt(a'b'); only one,
+    with a nonzero derivative, +inf (then dc = -inf); otherwise 0.  Raises
+    EigenFailureError, as `_concurrence_raw` does, for an eigenvalue below
+    -INPUT_PSD_FLOOR.
+    """
+    a = mats[..., _X_FIRST, _X_FIRST].real
+    b = mats[..., _X_SECOND, _X_SECOND].real
+    z = mats[..., _X_FIRST, _X_SECOND]
+    abs_z = np.abs(z)
+    min_eig = ((a + b) / 2.0 - np.hypot((a - b) / 2.0, abs_z)).min(axis=-1)
+    if (min_eig < -INPUT_PSD_FLOOR).any():
+        raise EigenFailureError(
+            f"input has eigenvalue {min_eig.min()!r}, far outside the positive cone"
+        )
+    root = np.sqrt(np.maximum(a * b, 0.0))
+    terms = abs_z - root[..., ::-1]
+    first = terms[..., 0] >= terms[..., 1]
+    c = np.clip(2.0 * np.where(first, terms[..., 0], terms[..., 1]), 0.0, 1.0)
+    if mats_dot is None:
+        return c, min_eig, None
+
+    a_dot = mats_dot[..., _X_FIRST, _X_FIRST].real
+    b_dot = mats_dot[..., _X_SECOND, _X_SECOND].real
+    z_dot = mats_dot[..., _X_FIRST, _X_SECOND]
+    a_zero, b_zero = a <= 0.0, b <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_abs_z = (z.real * z_dot.real + z.imag * z_dot.imag) / abs_z
+        d_root = (a_dot * b + a * b_dot) / (2.0 * root)
+    zero_dot = np.where(a_zero, a_dot, b_dot)
+    d_root = np.where(a_zero | b_zero, np.where(zero_dot != 0.0, np.inf, 0.0), d_root)
+    d_root = np.where(a_zero & b_zero, np.sqrt(np.maximum(a_dot * b_dot, 0.0)), d_root)
+    d_terms = d_abs_z - d_root[..., ::-1]
+    dc = np.where(c > 0.0, 2.0 * np.where(first, d_terms[..., 0], d_terms[..., 1]), 0.0)
+    return c, min_eig, dc
+
+
+def _measure(mats: np.ndarray, mats_dot=None):
+    """Concurrences, smallest eigenvalues and, when mats_dot is given, dc
+    along it, of a complex (..., 4, 4) stack, by the one rule per state:
+    an X-state (`_is_x`) takes `_x_measure`, any other `_concurrence_raw`,
+    whose dc is NaN (`_eof_slopes` is the derivative there)."""
+    x = _is_x(mats)
+    if x.all():
+        return _x_measure(mats, mats_dot)
+    c, min_eig = np.empty(x.shape), np.empty(x.shape)
+    dc = None if mats_dot is None else np.full(x.shape, np.nan)
+    if x.any():
+        dots = None if mats_dot is None else np.broadcast_to(mats_dot, mats.shape)[x]
+        c[x], min_eig[x], dc_x = _x_measure(mats[x], dots)
+        if dc is not None:
+            dc[x] = dc_x
+    c[~x], _, w = _concurrence_raw(mats[~x])
+    min_eig[~x] = w[..., 0]
+    return c, min_eig, dc
+
+
+def _eof_and_min_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E and the smallest eigenvalue of every state in a complex (..., 4, 4) stack."""
+    c, min_eig, _ = _measure(mats)
+    return _eof_of_concurrence(c), min_eig
 
 
 def eof_many(mats) -> np.ndarray:
-    """Entanglement of formation of every state in a (..., 4, 4) stack.
+    """Entanglement of formation of every state in a finite (..., 4, 4) stack.
 
-    Raises EigenFailureError when any member has an eigenvalue below
-    -INPUT_PSD_FLOOR or a decomposition fails.
+    Raises DomainError for a non-finite element, EigenFailureError when any
+    member has an eigenvalue below -INPUT_PSD_FLOOR or a decomposition fails.
     """
     mats = _as_complex(mats)
     if mats.shape[-2:] != (4, 4):
         raise DimensionMismatchError(f"eof needs a stack of 4x4 matrices, got {mats.shape}")
-    return _eof_and_spectra(mats)[0]
+    return _eof_and_min_eig(_finite(mats, "eof's stack"))[0]
 
 
 def eof(rho: DensityMatrix) -> float:

@@ -44,6 +44,11 @@ class DimensionMismatchError(InvalidArgument):
     """Operands have incompatible dimensions or shapes."""
 
 
+class NotXStateError(InvalidArgument):
+    """A state or direction outside the X form where the X-state closed form
+    is asked for."""
+
+
 class IndexOutOfRangeError(InvalidArgument, IndexError):
     """Trajectory index without the neighbours a central difference needs."""
 
@@ -97,8 +102,8 @@ class NonFiniteError(NumericalFailure):
 
 
 class KinkRegionError(NumericalFailure):
-    """Entanglement gradient requested at a kink of the measure: c = 0, or a zero
-    lambda of a state outside the X form."""
+    """Entanglement gradient requested at a kink of the measure: c = 0, a zero
+    lambda of a state outside the X form, or an X-state rate that is infinite."""
 
 
 class StepSizeTooLargeError(NumericalFailure):

@@ -35,6 +35,7 @@ from .qstate import (
     _as_complex,
     _as_float,
     _check_hermitian,
+    _finite,
     _finite_numbers,
     _matrix,
     _read_only,
@@ -113,8 +114,8 @@ class LindbladModel:
 class Trajectory:
     """Time grid and the (T, d, d) stack of density matrices at its points.
 
-    Both arrays are read-only copies; the times are finite and strictly
-    increasing.
+    Both arrays are read-only copies; the elements and times are finite and
+    the times strictly increasing.
     """
 
     times: np.ndarray
@@ -134,6 +135,7 @@ class Trajectory:
         if bad.size:
             k = bad[0]
             raise TraceNotOneError(f"state at t={times[k]} has trace defect {defect[k]}")
+        _finite(elements, "trajectory elements")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "elements", elements)
 
@@ -258,7 +260,8 @@ def integrate(
 
     The last step is shortened to land on t_end.  A LindbladModel, or
     ModelParams standing for the damped XY model, is propagated exactly: each
-    step applies exp(L step), one exponential per distinct step length;
+    step applies exp(L step), one exponential per distinct step length, and
+    each stored state after rho0 is Hermitized;
     NonFiniteError is raised when L step overflows, DimensionMismatchError
     when rho0's shape differs from the model's.
 
@@ -284,35 +287,66 @@ def integrate(
             f"state shape {rho0.elements.shape} does not match h0 shape {h0_shape}"
         )
 
-    times, steps = [0.0], []
-    t = 0.0
-    while t < t_end - 1e-12 * max(dt, t_end):
-        step = min(dt, t_end - t)
-        t += step
-        times.append(t)
-        steps.append(step)
-
+    times, n, last = _time_grid(t_end, dt)
     if gen is None:
+        steps = [dt] * n if last is None else [dt] * n + [last]
         elements = _rk4(rhs, rho0.elements, steps, t_end)
     else:
-        elements = _propagate(gen, rho0.elements, steps)
-    return Trajectory(times=np.array(times), elements=elements)
+        elements = _propagate(gen, rho0.elements, dt, n, last)
+    return Trajectory(times=times, elements=elements)
 
 
-def _propagate(gen: np.ndarray, rho0: np.ndarray, steps: Sequence[float]) -> np.ndarray:
-    """States after each step of vec(rho)' = gen vec(rho), as a
-    (len(steps) + 1, d, d) stack."""
-    props = {}
-    vec = rho0.reshape(-1)
-    out = [vec]
-    for step in steps:
-        prop = props.get(step)
-        if prop is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # _expm reports overflow
-                prop = props[step] = _expm(gen * step)
-        vec = prop @ vec
-        out.append(vec)
-    return np.array(out).reshape(-1, *rho0.shape)
+def _time_grid(t_end: float, dt: float) -> tuple[np.ndarray, int, float | None]:
+    """`integrate`'s times, its number n of full steps dt and its shortened
+    last step (None without one).
+
+    The times are, bitwise, those of the loop
+        t = 0; while t < t_end - 1e-12 max(dt, t_end): t += min(dt, t_end - t)
+    Its full steps are running sums of dt, which np.add.accumulate forms in
+    the loop's order; both conditions for a full step are monotone in t.
+    """
+    end = t_end - 1e-12 * max(dt, t_end)
+    steps = np.full(int(t_end / dt) + 3, float(dt))
+    steps[0] = 0.0
+    t = np.add.accumulate(steps)  # t[k]: k steps dt
+    n = int(np.argmin((t < end) & (dt <= t_end - t)))
+    times, t_n = t[:n + 1], float(t[n])
+    if t_n >= end:
+        return times, n, None
+    last = t_end - t_n
+    return np.append(times, t_n + last), n, last
+
+
+def _propagate(gen: np.ndarray, rho0: np.ndarray, dt: float, n: int,
+               last: float | None) -> np.ndarray:
+    """States after each of n steps dt, then one step `last` unless it is
+    None, of vec(rho)' = gen vec(rho), as a stack of d x d matrices.
+
+    With P = exp(gen dt), the rows after the first k are filled by doubling,
+    out[k:2k] = out[:k] @ (P^k)^T, squaring P as k doubles: about log2(n)
+    products of stacks in place of n matrix-vector products.  Each state
+    after rho0 is stored as its Hermitian part (m + m^dagger)/2, as `_rk4`
+    stores its states: the products leave round-off, such as imaginary
+    parts of about 1e-15 on the diagonal, that a Hermitian flow has not.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # _expm reports overflow
+        prop = _expm(gen * dt) if n else None
+        prop_last = None if last is None else _expm(gen * last)
+    out = np.empty((n + 1 + (last is not None), rho0.size), dtype=complex)
+    out[0] = rho0.reshape(-1)
+    k = 1
+    while k <= n:
+        m = min(k, n + 1 - k)
+        out[k:k + m] = out[:m] @ prop.T
+        k += m
+        if k <= n:
+            prop = prop @ prop
+    if last is not None:
+        out[n + 1] = prop_last @ out[n]
+    mats = out.reshape(-1, *rho0.shape)
+    mats[1:] += np.swapaxes(mats[1:], 1, 2).conj()
+    mats[1:] /= 2.0
+    return mats
 
 
 def _expm(a: np.ndarray) -> np.ndarray:

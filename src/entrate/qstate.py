@@ -146,6 +146,11 @@ def _matrix(obj, what: str, shape=None, convert=_as_complex) -> np.ndarray:
             raise DimensionMismatchError(f"{what} must be a square matrix, got shape {arr.shape}")
     elif arr.shape != shape:
         raise DimensionMismatchError(f"{what} must have shape {shape}, got {arr.shape}")
+    return _finite(arr, what)
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr itself; DomainError unless every element of the numeric array is finite."""
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite")
     return arr

@@ -1,15 +1,17 @@
-"""Entanglement rate Gamma(t) = dE/dt by three independent routes.
+"""Entanglement rate Gamma(t) = dE/dt by four routes.
 
 Routes:
   * rate_numeric  -- central difference of E along an integrated trajectory;
-                     the ground-truth oracle for the other two.  One
+                     the ground-truth oracle for the others.  One
                      elementwise kernel, `_central_difference`, forms the
                      quotient here and for every interior row of `evolve`.
   * rate_chain    -- sum over independent matrix elements of
                      (dE/d rho_ij) (d rho_ij / dt), with the exact gradient
                      of `eof_gradient` (first-order eigenvalue perturbation).
-                     The `rate` report takes the same derivative along
-                     rho_dot alone (`entanglement._eof_slopes`).
+  * rate_x        -- the exact rate of an X-state, from the derivative of
+                     its closed-form concurrence (`entanglement._x_measure`),
+                     one-sided where a lambda is zero.  The `rate` report's
+                     chain line is this derivative along rho_dot.
   * rate_werner / rate_xy -- closed forms for the two parametric families,
                      exact chain rules of the family concurrences.
 
@@ -29,16 +31,36 @@ from typing import Sequence
 
 import numpy as np
 
-from .entanglement import _COL, _PART, _ROW, _measure_slope, eof_gradient, eof_many
+from .entanglement import (
+    _COL,
+    _PART,
+    _ROW,
+    KINK_TOL,
+    _is_x,
+    _measure_slope,
+    _x_measure,
+    eof_gradient,
+    eof_many,
+)
 from .entanglement import eof  # noqa: F401  patched by bench/tracing.py
 from .errors import (
     DegenerateDirectionError,
     DomainError,
     IndexOutOfRangeError,
+    KinkRegionError,
+    NotXStateError,
     SeparableRegionError,
 )
 from .lindblad import ModelParams, Trajectory
-from .qstate import DensityMatrix, WernerParams, XYFamilyParams, _finite_numbers, _integer, _matrix
+from .qstate import (
+    DensityMatrix,
+    WernerParams,
+    XYFamilyParams,
+    _finite_numbers,
+    _integer,
+    _matrix,
+    _two_qubit,
+)
 
 SEPARABLE_TOL = 1e-6
 XY_SEPARABLE_TOL = 1e-8
@@ -79,7 +101,9 @@ def rate_chain(rho: DensityMatrix, rho_dot: np.ndarray) -> RateBreakdown:
     Diagonal elements contribute dE/d(rho_ii) * Re(drho_ii/dt); each
     off-diagonal element contributes real and imaginary parts separately.
     rho_dot must be a finite 4x4 matrix.  Propagates KinkRegionError where
-    the gradient is undefined.
+    the gradient is undefined.  At a zero lambda of an X-state this route
+    takes the lambda's slope as 0; `rate_x` gives the exact one-sided rate
+    there.
     """
     rho_dot = _matrix(rho_dot, "rho_dot", (4, 4))
     grad = eof_gradient(rho)
@@ -88,6 +112,28 @@ def rate_chain(rho: DensityMatrix, rho_dot: np.ndarray) -> RateBreakdown:
     # A running total in element order; np.sum would pair the terms up.
     total = np.cumsum(slopes * rates)[-1]
     return RateBreakdown(gamma_total=total, terms=tuple(zip(_TERM_NAMES, slopes, rates)))
+
+
+def rate_x(rho: DensityMatrix, rho_dot) -> float:
+    """Exact entanglement rate dE/dt of an X-state moving along rho_dot.
+
+    dE/dc times the derivative of the X-state concurrence
+        c = 2 max(0, |rho23| - sqrt(rho11 rho44), |rho14| - sqrt(rho22 rho33)),
+    one-sided where a product under a root is 0 (`entanglement._x_measure`).
+    rho and rho_dot, a finite 4x4 matrix, must both have the X form
+    (NotXStateError).  Raises KinkRegionError where c <= KINK_TOL or the
+    rate is infinite.
+    """
+    mat = _two_qubit(rho, "rate_x")
+    rho_dot = _matrix(rho_dot, "rho_dot", (4, 4))
+    if not (_is_x(mat) and _is_x(rho_dot)):
+        raise NotXStateError("rate_x needs rho and rho_dot of the X form: rho_12, rho_13, "
+                             "rho_24, rho_34 and their partners zero")
+    c, _, dc = _x_measure(mat, rho_dot)
+    if not (c > KINK_TOL and np.isfinite(dc)):
+        raise KinkRegionError(f"the X-state rate is undefined at concurrence {float(c)!r} "
+                              f"with dc/dt {float(dc)!r}")
+    return float(_measure_slope(c) * dc)
 
 
 def rate_werner(w: WernerParams, params: ModelParams) -> float:

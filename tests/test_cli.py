@@ -15,10 +15,13 @@ from entrate import (
     ModelParams,
     WernerParams,
     XYFamilyParams,
+    damped_xy_model,
     integrate,
+    liouvillian,
     rate_chain,
     rate_numeric,
     rate_werner,
+    rate_x,
     rate_xy_value,
     rhs_damped_xy,
     werner_state,
@@ -395,6 +398,19 @@ class TestRateReportRoutes:
         chain = rate_chain(rho0, rhs_damped_xy(self.PARAMS, rho0)).gamma_total
         assert vals["rate_chain"] == pytest.approx(chain, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("point, rho0", [
+        (("--p", "0.6", "--qi", "0.3"), xy_state(XYFamilyParams(0.6, 0.3j))),
+        (("--p", "0.5", "--qi", "0.5"), xy_state(XYFamilyParams(0.5, 0.5j))),  # C = 1
+        # the weights as the command forms them: (a, 1 - a - cd, cd / 2, cd / 2)
+        (("--a", "0.7", "--cd", "0.2"), werner_state(WernerParams(0.7, 1.0 - 0.7 - 0.2, 0.1, 0.1))),
+        (("--a", "0.9", "--cd", "0"), werner_state(WernerParams(0.9, 1.0 - 0.9, 0.0, 0.0))),
+    ])
+    def test_chain_line_is_rate_x_along_the_generator_bitwise(self, capsys, point, rho0):
+        vals = self.report(capsys, *point)
+        gen = liouvillian(damped_xy_model(self.PARAMS))
+        rho_dot = (gen @ rho0.elements.reshape(16)).reshape(4, 4)
+        assert vals["rate_chain"] == rate_x(rho0, rho_dot)
+
     def test_kink_point_reads_undefined(self, capsys):
         # C = 2e-7 is within KINK_TOL = 1e-6 of the c = 0 kink
         vals = self.report(capsys, "--p", "0.6", "--qi", "1e-7")
@@ -402,8 +418,8 @@ class TestRateReportRoutes:
         assert vals["rate_closed_form"] > 0
 
     def test_non_finite_rho_dot_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(entrate.cli, "rhs_damped_xy",
-                            lambda params, rho: np.full((4, 4), np.nan))
+        monkeypatch.setattr(entrate.cli, "_damped_xy_generator",
+                            lambda params: np.full((16, 16), np.nan))
         code, out, err = run_cli(capsys, "rate", "--p", "0.6", "--qi", "0.3")
         assert code == 2
         assert out == ""

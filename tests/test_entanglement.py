@@ -32,7 +32,10 @@ from entrate.entanglement import (
     INPUT_PSD_FLOOR,
     ZERO_LAMBDA_TOL,
     _concurrence_raw,
+    _is_x,
+    _measure,
     _measure_slope,
+    _x_measure,
 )
 from entrate.errors import (
     DimensionMismatchError,
@@ -70,6 +73,21 @@ def gradient_in_one_body(mat):
     grad = np.zeros((2, 4, 4))
     grad[_PART, _ROW, _COL] = _measure_slope(c) * (d_lam @ _CONCURRENCE_SIGNS)
     return grad
+
+
+def random_x_state(rng, rank, diagonal=False):
+    """A random X-state of the given rank: two random 2x2 blocks,
+    {rho11, rho44, rho14} and {rho22, rho33, rho23}, sharing `rank` nonzero
+    eigenvalues; diagonal blocks (zero coherences) when `diagonal`."""
+    weights = np.zeros(4)
+    weights[rng.permutation(4)[:rank]] = rng.uniform(0.05, 1.0, rank)
+    mat = np.zeros((4, 4), dtype=complex)
+    for k, idx in enumerate(([0, 3], [1, 2])):
+        vecs = np.eye(2)
+        if not diagonal:
+            vecs, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        mat[np.ix_(idx, idx)] = (vecs * weights[2 * k:2 * k + 2]) @ vecs.conj().T
+    return mat / weights.sum()
 
 
 def _spin_flip_pattern(m):
@@ -225,6 +243,66 @@ class TestEofMany:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             eof_many(np.eye(3) / 3)
+
+
+class TestXMeasure:
+    def test_matches_the_singular_value_route_on_x_states(self):
+        rng = np.random.default_rng(71)
+        exact = np.array([random_x_state(rng, 4) for _ in range(1000)]
+                         + [random_x_state(rng, 1 + k % 4, diagonal=True) for k in range(400)]
+                         + [PSI_PLUS.elements, GROUND.elements, np.eye(4) / 4])
+        deficient = np.array([random_x_state(rng, 1 + k % 3) for k in range(1000)])
+        c_raw, _, w = _concurrence_raw(np.concatenate([exact, deficient]))
+        c, min_eig, dc = _x_measure(np.concatenate([exact, deficient]))
+        assert dc is None
+        assert np.abs(min_eig - w[:, 0]).max() <= 1e-15
+        assert np.abs(c - c_raw)[:len(exact)].max() <= 1e-14
+        # At a zero eigenvalue of rho that eigh returns as +1e-17, the singular
+        # value route's sqrt(rho) carries about sqrt(1e-17): its lambdas are off
+        # by some 1e-9 there, and the closed form is not.
+        assert np.abs(c - c_raw)[len(exact):].max() <= 1e-7
+        assert (c > 0.1).sum() > 500 and (c == 0).sum() > 500
+
+    def test_pure_x_states_have_c_twice_the_amplitude_product(self):
+        # C = 2 |ad - bc| for a|00> + b|01> + c|10> + d|11> (Wootters, PRL 80, 2245 (1998))
+        rng = np.random.default_rng(79)
+        amps = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
+        amps[:250, [1, 2]] = 0.0
+        amps[250:, [0, 3]] = 0.0
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        c, min_eig, _ = _x_measure(amps[:, :, None] * amps[:, None, :].conj())
+        want = 2.0 * np.abs(amps[:, 0] * amps[:, 3] - amps[:, 1] * amps[:, 2])
+        assert np.abs(c - want).max() <= 1e-14
+        assert np.abs(min_eig).max() <= 1e-15
+
+    def test_dispatch_is_per_state(self):
+        rng = np.random.default_rng(73)
+        stack = np.array([random_x_state(rng, 1 + k % 4) if k % 3 else random_density_matrix(rng)
+                          for k in range(60)])
+        x = _is_x(stack)
+        assert x.sum() == 40
+        c, min_eig, dc = _measure(stack, stack)
+        want = _x_measure(stack[x], stack[x])
+        assert c[x].tobytes() == want[0].tobytes()
+        assert min_eig[x].tobytes() == want[1].tobytes()
+        assert dc[x].tobytes() == want[2].tobytes()
+        c_raw, _, w = _concurrence_raw(stack[~x])
+        assert c[~x].tobytes() == c_raw.tobytes()
+        assert min_eig[~x].tobytes() == w[:, 0].tobytes()
+        assert np.isnan(dc[~x]).all()
+        assert eof_many(stack).tobytes() == np.array([eof(as_state(m)) for m in stack]).tobytes()
+
+    def test_an_element_off_x_in_either_triangle_is_not_x(self):
+        mats = np.tile(np.eye(4, dtype=complex) / 4, (3, 1, 1))
+        mats[1, 1, 3] = 1e-300
+        mats[2, 3, 1] = 1e-300
+        assert _is_x(mats).tolist() == [True, False, False]
+
+    def test_an_eigenvalue_below_the_floor_fails(self):
+        mat = np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex)
+        mat[1, 2] = mat[2, 1] = 0.1
+        with pytest.raises(EigenFailureError):
+            _x_measure(mat)
 
 
 class TestEofGradient:

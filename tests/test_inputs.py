@@ -58,6 +58,7 @@ from entrate import (
     rate_chain,
     rate_numeric,
     rate_werner,
+    rate_x,
     rate_xy,
     rate_xy_value,
     recompose,
@@ -102,7 +103,7 @@ def test_matrix_arguments_follow_the_one_conversion(name, arg):
 
 def test_eof_many_does_not_copy_a_complex_stack(monkeypatch):
     seen = []
-    monkeypatch.setattr(entrate.entanglement, "_eof_and_spectra",
+    monkeypatch.setattr(entrate.entanglement, "_eof_and_min_eig",
                         lambda mats: (seen.append(mats), None))
     stack = np.tile(np.eye(4, dtype=complex) / 4, (3, 1, 1))
     eof_many(stack)
@@ -196,6 +197,15 @@ def test_hermitian_part_of_a_large_effective_hamiltonian_stays_finite():
 
 
 BIG = np.full((2, 2), 1e308)
+
+
+def _mixed_stack(row, col, value):
+    """Three maximally mixed two-qubit states with element (row, col) set to value."""
+    stack = np.tile(np.eye(4, dtype=complex) / 4, (3, 1, 1))
+    stack[:, row, col] = value
+    return stack
+
+
 HOLES = {
     "amplitude_damping string": (lambda: amplitude_damping("x"), WeightError),
     "amplitude_damping complex": (lambda: amplitude_damping(0.5j), WeightError),
@@ -228,6 +238,15 @@ HOLES = {
         (lambda: Trajectory([0.0, np.nan], np.tile(np.eye(2) / 2, (2, 1, 1))), DomainError),
     "Trajectory infinite time":
         (lambda: Trajectory([0.0, np.inf], np.tile(np.eye(2) / 2, (2, 1, 1))), DomainError),
+    "eof_many NaN coherence": (lambda: eof_many(_mixed_stack(0, 1, np.nan)), DomainError),
+    "eof_many infinite coherence": (lambda: eof_many(_mixed_stack(0, 1, np.inf)), DomainError),
+    "eof_many NaN population": (lambda: eof_many(_mixed_stack(1, 1, np.nan)), DomainError),
+    "rate_numeric NaN coherence":
+        (lambda: rate_numeric(Trajectory([0.0, 1.0, 2.0], _mixed_stack(0, 1, np.nan)), 1),
+         DomainError),
+    "rate_numeric infinite coherence":
+        (lambda: rate_numeric(Trajectory([0.0, 1.0, 2.0], _mixed_stack(0, 1, np.inf)), 1),
+         DomainError),
     "decompose negative sizes": (lambda: decompose(MIXED_PAIR, -2, -2), DomainError),
     "coefficient_rates negative sizes":
         (lambda: coefficient_rates(np.zeros((4, 4)), -2, -2), DomainError),
@@ -398,6 +417,7 @@ FUZZED = {
     "rate_chain states": (rate_chain, STATES, MATRICES),
     "rate_numeric": (rate_numeric, TRAJECTORIES, INDICES),
     "rate_werner": (rate_werner, WERNER, MODEL_PARAMS),
+    "rate_x": (rate_x, STATES, MATRICES),
     "rate_xy": (rate_xy, XY, MODEL_PARAMS),
     "rate_xy_value": (rate_xy_value, SCALARS, SCALARS, SCALARS, SCALARS),
 }

@@ -328,6 +328,38 @@ class TestIntegrate:
         assert traj.times[-1] == pytest.approx(0.25, abs=1e-15)
 
 
+def loop_time_grid(t_end, dt):
+    """integrate's times and steps as a loop: the reference for _time_grid."""
+    times, steps, t = [0.0], [], 0.0
+    while t < t_end - 1e-12 * max(dt, t_end):
+        step = min(dt, t_end - t)
+        t += step
+        times.append(t)
+        steps.append(step)
+    return times, steps
+
+
+def _grid_cases():
+    rng = np.random.default_rng(61)
+    dts = 10.0 ** rng.uniform(-3, 0, 1500)
+    yield from zip(dts * rng.uniform(0, 1000, 1500), dts)  # random
+    yield from ((0.0, 0.1), (0.05, 0.1), (1e-300, 0.1), (0.1, 0.1))  # t_end = 0, t_end <= dt
+    for k, dt in zip(rng.integers(1, 1000, 200), 10.0 ** rng.uniform(-3, 0, 200)):
+        t_end = k * dt  # exact multiples, and the last step within the 1e-12 slack
+        slack = 1e-12 * max(dt, t_end)
+        yield from ((t_end, dt), (t_end + 0.5 * slack, dt), (t_end - 0.5 * slack, dt),
+                    (t_end + 2.0 * slack, dt))
+    yield from ((2.37, 0.01), (10.0, 0.01), (1.0, 0.1), (50.0, 0.01))
+
+
+def test_time_grid_is_the_loop_bitwise():
+    for t_end, dt in _grid_cases():
+        times, n, last = entrate.lindblad._time_grid(t_end, dt)
+        want_times, want_steps = loop_time_grid(t_end, dt)
+        assert times.tobytes() == np.array(want_times).tobytes(), (t_end, dt)
+        assert [dt] * n + [last] * (last is not None) == want_steps, (t_end, dt)
+
+
 def kron_liouvillian(model):
     """Independent row-major L from vec(A X B) = (A kron B^T) vec(X)."""
     h = np.asarray(model.h0, dtype=complex)
@@ -439,6 +471,29 @@ class TestExactPropagation:
         want = integrate(damped_xy_model(params), rho0, 2.37, 0.01)
         assert got.elements.tobytes() == want.elements.tobytes()
         assert got.times.tobytes() == want.times.tobytes()
+
+    @pytest.mark.parametrize("rho0", [
+        xy_state(XYFamilyParams(0.6, 0.3j)),
+        werner_state(WernerParams(0.7, 0.1, 0.15, 0.05)),
+    ])
+    def test_doubling_matches_step_by_step_and_scipy_over_5000_steps(self, rho0):
+        params = ModelParams(1.0, 0.2, 0.05)
+        got = integrate(params, rho0, 50.0, 0.01).elements.reshape(-1, 16)
+        gen = entrate.lindblad._damped_xy_generator(params)
+        prop = entrate.lindblad._expm(gen * 0.01)
+        vec = rho0.elements.reshape(16)
+        want = [vec]
+        for _ in range(5000):
+            vec = prop @ vec
+            want.append(vec)
+        assert np.abs(got - np.array(want)).max() <= 1e-13
+        exact = expm(kron_liouvillian(damped_xy_model(params)) * 50.0) @ rho0.elements.reshape(16)
+        assert np.abs(got[-1] - exact).max() <= 1e-12
+
+    def test_stored_states_are_exactly_hermitian(self):
+        rho0 = werner_state(WernerParams(0.7, 0.1, 0.15, 0.05))
+        mats = integrate(ModelParams(1.0, 0.2, 0.01), rho0, 10.0, 0.01).elements
+        assert (mats == np.swapaxes(mats, 1, 2).conj()).all()
 
     @pytest.mark.parametrize("t_end,dt", [(10.0, 0.01), (2.37, 0.01), (0.0, 0.1), (1.0, 5.0)])
     def test_one_exponential_per_step_length(self, monkeypatch, t_end, dt):

@@ -22,21 +22,24 @@ from entrate import (
     rate_chain,
     rate_numeric,
     rate_werner,
+    rate_x,
     rate_xy,
     rate_xy_value,
     rhs_damped_xy,
     werner_state,
     xy_state,
 )
-from entrate.entanglement import _concurrence_raw, _eof_slopes
+from entrate.entanglement import _concurrence_raw, _eof_slopes, eof_many
 from entrate.errors import (
     DegenerateDirectionError,
     DimensionMismatchError,
     DomainError,
     IndexOutOfRangeError,
     KinkRegionError,
+    NotXStateError,
     SeparableRegionError,
 )
+from entrate.lindblad import _damped_xy_generator
 
 LN2 = np.log(2.0)
 
@@ -155,6 +158,77 @@ def test_slope_along_rho_dot_is_the_gradient_paired_with_the_rates(seed, parts):
     c, lam, _ = _concurrence_raw(mat)
     along = _eof_slopes(mat, c, lam, rho_dot[None])[0]
     assert abs(along - rate_chain(as_state(mat), rho_dot).gamma_total) <= 1e-13
+
+
+def xy_rate_of_change(params, rho):
+    """rho_dot = L vec rho under the damped XY model."""
+    return (_damped_xy_generator(params) @ rho.elements.reshape(16)).reshape(4, 4)
+
+
+def one_sided_rate(params, rho, h):
+    """(-3 E(0) + 4 E(h) - E(2h)) / (2h) over the exactly propagated
+    trajectory: the forward difference of second order."""
+    e0, e1, e2 = eof_many(integrate(params, rho, 2 * h, h).elements)
+    return (-3.0 * e0 + 4.0 * e1 - e2) / (2.0 * h)
+
+
+PURE_X = new_density(np.outer([0.8, 0.0, 0.0, 0.6], [0.8, 0.0, 0.0, 0.6]))
+
+
+class TestRateX:
+    def test_pure_state_takes_the_one_sided_rate(self):
+        params = ModelParams(1.0, 0.2, 0.05)
+        got = rate_x(PURE_X, xy_rate_of_change(params, PURE_X))
+        assert got == pytest.approx(-0.1195308, abs=1e-7)
+        for h in (1e-4, 1e-5):
+            assert got == pytest.approx(one_sided_rate(params, PURE_X, h), abs=1e-8)
+        # rate_chain takes the slope of a zero lambda as 0, as documented.
+        chain = rate_chain(PURE_X, xy_rate_of_change(params, PURE_X)).gamma_total
+        assert chain == pytest.approx(-0.0683033, abs=1e-7)
+
+    def test_matches_one_sided_differences_on_both_families(self):
+        rng = np.random.default_rng(83)
+        for k in range(60):
+            params = ModelParams(rng.uniform(-3, 3), rng.uniform(-1, 1), rng.uniform(0, 1))
+            if k % 2:
+                rho = xy_state(random_xy_interior(rng))
+            else:
+                a = rng.uniform(0.6, 1.0)
+                rho = werner_state(WernerParams(a, *(rng.dirichlet([1, 1, 1]) * (1 - a))))
+            got = rate_x(rho, xy_rate_of_change(params, rho))
+            assert got == pytest.approx(one_sided_rate(params, rho, 1e-6), abs=1e-7)
+
+    def test_equals_the_chain_rule_away_from_zero_lambdas(self):
+        rng = np.random.default_rng(89)
+        for _ in range(100):
+            params = ModelParams(rng.uniform(-3, 3), rng.uniform(-1, 1), rng.uniform(0, 1))
+            a = rng.uniform(0.6, 0.95)
+            rho = werner_state(WernerParams(a, *(rng.dirichlet([1, 1, 1]) * (1 - a))))
+            rho_dot = xy_rate_of_change(params, rho)
+            assert rate_x(rho, rho_dot) == pytest.approx(rate_chain(rho, rho_dot).gamma_total,
+                                                         rel=1e-12, abs=1e-15)
+
+    def test_a_state_or_direction_outside_the_x_form_is_refused(self):
+        rho = as_state(random_entangled_mixed(np.random.default_rng(97)))
+        with pytest.raises(NotXStateError):
+            rate_x(rho, np.zeros((4, 4)))
+        off_x = np.zeros((4, 4))
+        off_x[0, 1] = off_x[1, 0] = 1.0
+        with pytest.raises(NotXStateError):
+            rate_x(PURE_X, off_x)
+
+    def test_kink_and_infinite_rate_are_refused(self):
+        params = ModelParams(1.0, 0.2, 0.05)
+        mixed = new_density(np.eye(4) / 4)
+        with pytest.raises(KinkRegionError):
+            rate_x(mixed, xy_rate_of_change(params, mixed))
+        # rho22 = 0 < rho33 and rho22 grows at gamma rho44: sqrt(rho22 rho33)
+        # leaves 0 with an infinite slope.
+        mat = np.diag([0.5, 0.0, 0.2, 0.3]).astype(complex)
+        mat[0, 3] = mat[3, 0] = 0.35
+        rho = new_density(mat)
+        with pytest.raises(KinkRegionError):
+            rate_x(rho, xy_rate_of_change(params, rho))
 
 
 class TestRateWerner:

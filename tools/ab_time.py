@@ -8,7 +8,9 @@ and times, in rounds that alternate which side runs first:
     bench/worker.py): new_density, decompose, recompose, LindbladModel,
     rhs_generic, coefficient_rates and the Kraus channel, on the first
     bipartite cycle of seed 1 (bench/workloads.py, imported read-only);
-  * `cli.main(argv)` for one `rate`, one `criterion` and one `evolve` argv.
+  * `cli.main(argv)` for one `rate`, one `criterion` and one short `evolve`
+    argv, and for the benchmark's long `evolve` (t_end 10, about 1000 rows)
+    as CSV and as JSON.
 
 For each stage it prints each side's median and quartiles over the rounds,
 in microseconds per round, and how many rounds each side was faster:
@@ -42,6 +44,9 @@ ARGV = {
     "main rate": ("rate", "--p", "0.6", "--qi", "0.3"),
     "main criterion": ("criterion", "--p", "0.6", "--qi", "0.3"),
     "main evolve": ("evolve", "--t-end", "1", "--", "xy", "0.6", "0", "0.3"),
+    "main evolve 10 csv": ("evolve", "--t-end", "10", "--", "xy", "0.6", "0", "0.3"),
+    "main evolve 10 json": ("evolve", "--t-end", "10", "--format", "json", "--",
+                            "werner", "0.7", "0.1", "0.15", "0.05"),
 }
 
 
