@@ -41,6 +41,7 @@ from .errors import (
     ParseError,
 )
 from .lindblad import (  # noqa: F401  rhs_damped_xy is patched by bench/tracing.py
+    MAX_VALUES,
     ModelParams,
     Trajectory,
     _damped_xy_generator,
@@ -75,7 +76,6 @@ from .rate import (  # noqa: F401  rate_chain and rate_numeric are patched by be
 
 CURVE_POINTS = 201
 GRID_POINTS = 101
-MAX_VALUES = 10**7  # reported numbers (rows x columns) a run may emit
 EVOLVE_HEADER = ("t", *(f"rho{i}{j}_{part}" for i in range(1, 5) for j in range(1, 5)
                         for part in ("re", "im")), "trace", "min_eig", "E", "rate_numeric")
 
@@ -105,8 +105,6 @@ def _sweep(command: str, ranges: dict, params: ModelParams,
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     return format(float(x), ".17g")
 
 
@@ -122,34 +120,20 @@ def _emit(args, text: str) -> None:
         raise ParseError(f"cannot write output file: {exc}") from exc
 
 
-def _csv(header: Sequence[str], columns: Iterable[Sequence]) -> str:
-    """CSV of equal-length columns: a float or int cell is written `%.17g`
-    (as `_fmt`), None as an empty cell, a string as it is.
+def _csv(header: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """CSV of equal-length columns: a column whose first cell is a string is
+    written as it is, any other column `%.17g` (as `_fmt`), with a NaN number
+    as an empty cell.
 
-    A column of floats and ints enters the `%` row template as `%.17g`; any
-    other column is first formatted into strings and enters it as `%s`.  The
-    template is applied row by row, so no tuple over all cells is built.  In a
-    column of floats, ints and None, the numbers are formatted by one `%` call.
+    NaN is the one marker of a blank cell: the `%` row template, applied row
+    by row, writes it `nan`, and those tokens of the document are emptied.
+    So neither a header name nor a string cell may contain `nan`; the
+    commands' string cells are formatted finite numbers and the "1"/"0" flags.
     """
-    cols, specs = [], []
-    for col in columns:
-        kinds = set(map(type, col))
-        if kinds <= {float, int}:
-            specs.append("%.17g")
-        else:
-            specs.append("%s")
-            if kinds <= {float, int, type(None)}:
-                cells = np.array(col, dtype=object)
-                filled = cells != None  # noqa: E711  elementwise over the object array
-                nums = tuple(cells[filled])
-                cells[:] = ""
-                cells[filled] = ("%.17g\0" * len(nums) % nums).split("\0")[:-1]
-                col = cells.tolist()
-            elif not kinds <= {str}:
-                col = [cell if isinstance(cell, str) else _fmt(cell) for cell in col]
-        cols.append(col)
-    line = ",".join(specs) + "\n"
-    return ",".join(header) + "\n" + "".join(map(line.__mod__, zip(*cols)))
+    line = ",".join("%s" if col and isinstance(col[0], str) else "%.17g"
+                    for col in columns) + "\n"
+    text = ",".join(header) + "\n" + "".join(map(line.__mod__, zip(*columns)))
+    return text.replace("nan", "")  # on the whole text, so the body is not held twice
 
 
 def _grid_csv(header: Sequence[str], x: np.ndarray, y: np.ndarray, *values) -> str:
@@ -301,18 +285,17 @@ def cmd_fig3(args) -> tuple[str, str]:
     summary = "".join(f"{key} " + " ".join(f"{k}={_fmt(v)}" for k, v in cell.items()) + "\n"
                       for key, cell in extremes.items()) or "all cells masked\n"
 
-    rates = np.where(np.isnan(vals), None, vals)
     if args.format == "json":
         return _json_doc({
             "config": config | {"p": args.p},
             "axes": {"qr": qr_grid.tolist(), "qi": qi_grid.tolist()},
-            "values": rates.tolist(),
+            "values": np.where(np.isnan(vals), None, vals).tolist(),
             "R": r.tolist(),
             "argmax": extremes.get("argmax"),
             "argmin": extremes.get("argmin"),
         }), summary
     return _grid_csv(header, qr_grid, qi_grid, r, np.where(r <= FEASIBILITY_TOL, "1", "0"),
-                     rates), summary
+                     vals), summary
 
 
 # ---------------------------------------------------------------- evolve
@@ -344,7 +327,9 @@ def _parse_state(tokens: list[str]) -> DensityMatrix:
     raise ParseError(f"unknown state kind {kind!r} (expected werner | xy | matrix)")
 
 
-def _evolve_rows(traj: Trajectory) -> list[list]:
+def _evolve_rows(traj: Trajectory) -> np.ndarray:
+    """The (T, 37) table of EVOLVE_HEADER.  rate_numeric is NaN in the first
+    and last rows, where the central difference lacks a neighbour."""
     mats = traj.elements
     t = traj.times
     e, min_eig = _eof_and_min_eig(mats)
@@ -356,9 +341,7 @@ def _evolve_rows(traj: Trajectory) -> list[list]:
     ])
     for name, column in zip(EVOLVE_HEADER, (*table.T[:-1], rate[1:-1])):  # blank ends skipped
         _check_finite(name, column)
-    rows = table.tolist()
-    rows[0][-1] = rows[-1][-1] = None  # the central difference needs two neighbours
-    return rows
+    return table
 
 
 def cmd_evolve(args) -> str:
@@ -369,15 +352,17 @@ def cmd_evolve(args) -> str:
     if dt > 0:
         _check_size("evolve", max(args.t_end, 0.0) / dt + 1, len(EVOLVE_HEADER))
     traj = integrate(params, rho0, args.t_end, dt)
-    rows = _evolve_rows(traj)
+    table = _evolve_rows(traj)
     if args.format == "json":
+        rows = table[:, 1:].tolist()
+        rows[0][-1] = rows[-1][-1] = None  # the blank ends of rate_numeric
         return _json_doc({
             "config": {"command": "evolve", "state": args.state, "omega": params.omega,
                        "g": params.g, "gamma": params.gamma, "t_end": args.t_end, "dt": dt},
-            "axes": {"t": [float(t) for t in traj.times]},
-            "values": {"columns": list(EVOLVE_HEADER[1:]), "rows": [row[1:] for row in rows]},
+            "axes": {"t": traj.times.tolist()},
+            "values": {"columns": list(EVOLVE_HEADER[1:]), "rows": rows},
         })
-    return _csv(EVOLVE_HEADER, zip(*rows))
+    return _csv(EVOLVE_HEADER, table.T.tolist())
 
 
 # ---------------------------------------------------------------- rate
@@ -409,16 +394,15 @@ def cmd_rate(args) -> str:
         raise ParseError("rate takes either --p/--qr/--qi or --a/--cd, not both")
     if args.p is not None:
         x = XYFamilyParams(args.p, complex(args.qr, args.qi))
-        rho0 = xy_state(x)
-        lines = _three_route_report(rho0, rate_xy(x, params), params, dt)
+        rho0, closed = xy_state(x), rate_xy(x, params)
         point = {"family": "xy", "p": args.p, "qr": args.qr, "qi": args.qi}
     elif args.a is not None:
         w = WernerParams(args.a, 1.0 - args.a - args.cd, args.cd / 2.0, args.cd / 2.0)
-        rho0 = werner_state(w)
-        lines = _three_route_report(rho0, rate_werner(w, params), params, dt)
+        rho0, closed = werner_state(w), rate_werner(w, params)
         point = {"family": "werner", "a": args.a, "cd": args.cd}
     else:
         raise ParseError("rate needs either --p/--qr/--qi or --a/--cd")
+    lines = _three_route_report(rho0, closed, params, dt)
     for name, value in lines:
         _check_finite(name, value)
 

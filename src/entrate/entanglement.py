@@ -123,7 +123,9 @@ def _concurrence_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
-    """Wootters concurrence of a two-qubit state."""
+    """Wootters concurrence of a two-qubit state by the singular-value route,
+    which is accurate only to about sqrt(eps) at rank-deficient states (C off
+    by up to about 8e-9).  E of an X-state takes the closed form instead."""
     c, lam, _ = _concurrence_raw(_two_qubit(rho, "concurrence"))
     lam.setflags(write=False)
     return ConcurrenceResult(c=float(c), lambdas=lam)
@@ -302,6 +304,7 @@ def eof_gradient(rho: DensityMatrix) -> MeasureGradient:
     partner rho_ji following along; no trace constraint is enforced.  The
     partials are `_eof_slopes` along the 16 basis directions of the element
     order.  Raises KinkRegionError where they are undefined (see there).
+    At rank-deficient states it carries the sqrt(eps) error of `concurrence`.
     """
     mat = _two_qubit(rho, "eof_gradient")
     c, lam, _ = _concurrence_raw(mat)

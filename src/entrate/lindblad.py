@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    InfeasibleRangeError,
     NonFiniteError,
     StepSizeTooLargeError,
     TraceNotOneError,
@@ -47,6 +48,7 @@ STEP_DRIFT_TOL = 1e-6
 DRIFT_RATE_TOL = 1e-8
 TRAJECTORY_TRACE_TOL = 1e-8
 _UNIT_ROUNDOFF = 2.0**-53
+MAX_VALUES = 10**7  # numbers a run may hold: integrate's matrix elements, the CLI's cells
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
@@ -258,7 +260,9 @@ def integrate(
 ) -> Trajectory:
     """Evolve rho0 from t = 0 to t_end in steps of dt, sampling every step.
 
-    The last step is shortened to land on t_end.  A LindbladModel, or
+    The last step is shortened to land on t_end.  A run that would store
+    over MAX_VALUES matrix elements raises InfeasibleRangeError before
+    anything is allocated, on either path.  A LindbladModel, or
     ModelParams standing for the damped XY model, is propagated exactly: each
     step applies exp(L step), one exponential per distinct step length, and
     each stored state after rho0 is Hermitized;
@@ -286,6 +290,10 @@ def integrate(
         raise DimensionMismatchError(
             f"state shape {rho0.elements.shape} does not match h0 shape {h0_shape}"
         )
+    values = (t_end / dt + 2) * rho0.elements.size  # at most t_end/dt + 2 states
+    if values > MAX_VALUES:
+        raise InfeasibleRangeError(f"integrate would store {values:.4g} matrix elements, "
+                                   f"more than the bound of {MAX_VALUES}")
 
     times, n, last = _time_grid(t_end, dt)
     if gen is None:

@@ -266,6 +266,23 @@ class TestEvolve:
             for jv, cv in zip(json_row, csv_row[1:]):
                 assert (jv is None and cv == "") or jv == float(cv)
 
+    @pytest.mark.parametrize("t_end, n_rows", [("0", 1), ("0.03", 2)])
+    def test_short_run_has_no_rate(self, capsys, t_end, n_rows):
+        """With one row (t_end 0) or two (t_end < dt) no row has two neighbours:
+        every rate_numeric cell is empty in CSV and null in JSON, and the
+        formats agree on the rest."""
+        args = ["evolve", "xy", "0.6", "0", "0.3", "--t-end", t_end, "--dt", "0.05"]
+        _, out, _ = run_cli(capsys, *args)
+        _, text, _ = run_cli(capsys, *args, "--format", "json")
+        header, rows = csv_rows(out)
+        doc = json.loads(text)
+        assert len(rows) == len(doc["values"]["rows"]) == n_rows
+        assert [row[header.index("rate_numeric")] for row in rows] == [""] * n_rows
+        assert [row[-1] for row in doc["values"]["rows"]] == [None] * n_rows
+        assert doc["axes"]["t"] == [float(row[0]) for row in rows]
+        for json_row, csv_row in zip(doc["values"]["rows"], rows):
+            assert json_row[:-1] == [float(cell) for cell in csv_row[1:-1]]
+
     def test_infeasible_state_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "evolve", "xy", "0.9", "0", "0.4", "--t-end", "1")
         assert code == 3

@@ -16,7 +16,7 @@ from entrate.cli import _csv, _grid_csv, _json_doc
 
 
 def _reference_fmt(x) -> str:
-    if x is None:
+    if math.isnan(x):
         return ""
     return format(float(x), ".17g")
 
@@ -90,9 +90,7 @@ CELL_KINDS = {
     "int": st.integers(-2**70, 2**70),
     "number": st.floats() | st.integers(-2**70, 2**70),
     "str": st.text(alphabet="01ab%-. ", max_size=4),
-    "mixed": st.none() | st.floats() | st.integers(-2**70, 2**70) | st.booleans()
-             | st.text(alphabet="01ab%-. ", max_size=4) | st.floats().map(np.float64),
-    "float or None": st.none() | st.floats(),
+    "float or NaN": st.just(math.nan) | st.floats(),
 }
 
 
@@ -107,7 +105,10 @@ def tables(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(tables())
-@example((["c0", "c1"], [[0.5, None, math.nan, -0.0, None], [1, None, 2.5, math.nan, 3]]))
+@example((["c0", "c1"], [[0.5, math.nan, math.nan, -0.0, math.nan],
+                         [1, math.nan, 2.5, math.nan, 3]]))
+@example((["c0", "c1", "c2"], [[math.nan, 1.0, math.nan], ["0", "1", "0"],
+                               [math.nan, 2.0, math.nan]]))  # blank first column, ends
 def test_csv_equals_the_per_cell_writer(table):
     header, columns = table
     assert _csv(header, columns) == _reference_csv(header, zip(*columns))
@@ -120,7 +121,7 @@ grid_axis = st.lists(st.floats(-1e3, 1e3) | st.sampled_from(EDGE_FLOATS), min_si
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(grid_axis, grid_axis, st.data())
 def test_grid_csv_equals_the_per_cell_writer(x, y, data):
-    """Value grids of floats, of "1"/"0" flags and of floats masked to None, as fig2
+    """Value grids of floats, of "1"/"0" flags and of floats masked to NaN, as fig2
     and fig3 write them."""
     shape = (len(x), len(y))
     cells = st.lists(st.floats(), min_size=x.size * y.size, max_size=x.size * y.size)
@@ -130,7 +131,7 @@ def test_grid_csv_equals_the_per_cell_writer(x, y, data):
         if kind == "flag":
             grid = np.where(grid > 0, "1", "0")
         elif kind == "masked":
-            grid = np.where(np.isnan(grid) | (grid > 0), None, grid)
+            grid = np.where(grid > 0, math.nan, grid)
         values.append(grid)
     header = ["x", "y", *(f"v{i}" for i in range(len(values)))]
     assert _grid_csv(header, x, y, *values) == _reference_grid_csv(header, x, y, *values)

@@ -75,6 +75,7 @@ from entrate.errors import (
     DimensionMismatchError,
     DomainError,
     EntrateError,
+    InfeasibleRangeError,
     NonFiniteError,
     NonHermitianError,
     WeightError,
@@ -231,6 +232,12 @@ HOLES = {
     "criterion_threshold_value": (lambda: criterion_threshold_value("a", 0.3j), DomainError),
     "integrate t_end": (lambda: integrate(PARAMS, ENTANGLED, "a", 0.01), DomainError),
     "integrate dt": (lambda: integrate(PARAMS, ENTANGLED, 0.05, "a"), DomainError),
+    "integrate step count": (lambda: integrate(ModelParams(1.0, 0.0), MIXED_PAIR, 1e9, 1e-9),
+                             InfeasibleRangeError),
+    "integrate step count rk4": (lambda: integrate(lambda r: rhs_damped_xy(PARAMS, r),
+                                                   MIXED_PAIR, 1e9, 1e-9), InfeasibleRangeError),
+    "integrate step count overflow": (lambda: integrate(PARAMS, MIXED_PAIR, 1e300, 1e-300),
+                                      InfeasibleRangeError),
     "evolve_effective t_end": (lambda: evolve_effective(EffectiveHamiltonian(np.eye(2)),
                                                         MIXED_QUBIT, "a", 0.1), DomainError),
     "xy_hamiltonian": (lambda: xy_hamiltonian("a", 1), DomainError),

@@ -53,5 +53,5 @@ def test_ab_time_runs_one_round_of_the_current_tree_on_both_sides(monkeypatch, c
     stages = [line.split()[0] for line in lines[1:]]
     assert stages == ["new_density", "decompose", "recompose", "LindbladModel", "rhs_generic",
                       "coefficient_rates", "kraus", "bipartite", "main", "main", "main", "main",
-                      "main"]
+                      "main", "main"]
     assert all(int(a) + int(b) <= 1 for *_, a, b in map(str.split, lines[1:]))

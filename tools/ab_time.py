@@ -9,8 +9,8 @@ and times, in rounds that alternate which side runs first:
     rhs_generic, coefficient_rates and the Kraus channel, on the first
     bipartite cycle of seed 1 (bench/workloads.py, imported read-only);
   * `cli.main(argv)` for one `rate`, one `criterion` and one short `evolve`
-    argv, and for the benchmark's long `evolve` (t_end 10, about 1000 rows)
-    as CSV and as JSON.
+    argv, for the benchmark's long `evolve` (t_end 10, about 1000 rows)
+    as CSV and as JSON, and for one `fig3` sweep at grid 101 as CSV.
 
 For each stage it prints each side's median and quartiles over the rounds,
 in microseconds per round, and how many rounds each side was faster:
@@ -47,6 +47,7 @@ ARGV = {
     "main evolve 10 csv": ("evolve", "--t-end", "10", "--", "xy", "0.6", "0", "0.3"),
     "main evolve 10 json": ("evolve", "--t-end", "10", "--format", "json", "--",
                             "werner", "0.7", "0.1", "0.15", "0.05"),
+    "main fig3 101 csv": ("fig3", "--grid", "101", "--p", "0.6"),
 }
 
 
